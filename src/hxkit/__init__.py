@@ -25,7 +25,6 @@ from .dft import (
 from .hilbert import (
     Branch,
     EquivalenceReport,
-    MultiplierSpec,
     Signal,
     analytic_signal,
     bin_frequencies,
@@ -35,8 +34,7 @@ from .hilbert import (
     hilbert_second_via_log_image,
     infinity_norm_log10,
     log_image,
-    second_form_multiplier,
-    sign_multiplier,
+    multiplier_bins,
 )
 from .quadrature import (
     GridFunction,

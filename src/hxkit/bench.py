@@ -34,13 +34,7 @@ from .errors import (
     InvalidSizeError,
     InvariantBreach,
 )
-from .hilbert import (
-    Branch,
-    Signal,
-    _first_multiplier_bins,
-    _second_multiplier_bins,
-    infinity_norm_log10,
-)
+from .hilbert import Branch, Signal, infinity_norm_log10, multiplier_bins
 
 __all__ = [
     "BenchConfig",
@@ -61,8 +55,6 @@ FORMS = ("first", "second")
 
 CSV_HEADER = "form,power,trials,percent_increase,mean_ms,stddev_ms"
 
-_SCOPE = "inverse-stage-only"
-
 
 def size_for_power(power: float) -> int:
     """Nearest even size to 2**power (exact at integer powers >= 1)."""
@@ -75,7 +67,6 @@ class BenchConfig:
     trials: int = 100
     warmup: int = 10
     seed: int = 42
-    scope: str = _SCOPE
 
     def __post_init__(self):
         powers = tuple(float(p) for p in self.powers)
@@ -88,8 +79,6 @@ class BenchConfig:
             raise DomainError(f"warmup must be nonnegative, got {self.warmup}")
         if self.seed < 0:
             raise DomainError("seed must be unsigned")
-        if self.scope != _SCOPE:
-            raise DataError(f"unsupported timing scope {self.scope!r}")
         for p in powers:
             if size_for_power(p) < 16:
                 raise InvalidSizeError(f"power {p} gives size < 16")
@@ -123,18 +112,23 @@ def generate_test_signal(n: int, seed: int) -> Signal:
     return Signal(x)
 
 
-def _inverse_runner(form: str, n: int, seed: int) -> Callable[[], np.ndarray]:
-    """Precompute everything but the inverse; return the zero-arg timed call."""
+def _spectrum(form: str, n: int, seed: int) -> tuple:
+    """(plan, multiplied spectrum) of the test signal; plus branch for "second"."""
     if form not in FORMS:
         raise DataError(f"unknown form {form!r}")
+    if form == "second" and n % 2:
+        raise InvalidSizeError("the half-length inverse needs an even size")
     x = generate_test_signal(n, seed).samples
     p = plan(n)
+    branch = None if form == "first" else Branch.PLUS
+    return p, dft_forward(p, x) * multiplier_bins(n, branch)
+
+
+def _inverse_runner(form: str, n: int, seed: int) -> Callable[[], np.ndarray]:
+    """Precompute everything but the inverse; return the zero-arg timed call."""
+    p, spectrum = _spectrum(form, n, seed)
     if form == "first":
-        spectrum = dft_forward(p, x) * _first_multiplier_bins(n)
         return lambda: dft_inverse(p, spectrum)
-    if n % 2:
-        raise InvalidSizeError("the half-length inverse needs an even size")
-    spectrum = dft_forward(p, x) * _second_multiplier_bins(n, Branch.PLUS)
     p_half = plan(n // 2)
     return lambda: dft_inverse_halfband(p_half, spectrum)
 
@@ -163,7 +157,9 @@ def stats(durations: Sequence[float]) -> tuple:
         raise InsufficientDataError("need at least 2 samples")
     if not np.all(np.isfinite(d)):
         raise DataError("non-finite duration")
-    return float(d.mean()), float(d.std(ddof=1))
+    # clamp: the rounded mean of equal samples can land one ulp outside them
+    mean = min(max(float(d.mean()), float(d.min())), float(d.max()))
+    return mean, float(d.std(ddof=1))
 
 
 def percent_increase(baseline_mean: float, fast_mean: float) -> float:
@@ -178,9 +174,7 @@ def timer_resolution_s() -> float:
 
 def _check_halfband_agreement(n: int, seed: int) -> None:
     # correctness gate: the timed fast path must match the full-length inverse
-    x = generate_test_signal(n, seed).samples
-    p = plan(n)
-    spectrum = dft_forward(p, x) * _second_multiplier_bins(n, Branch.PLUS)
+    p, spectrum = _spectrum("second", n, seed)
     fast = dft_inverse_halfband(plan(n // 2), spectrum)
     full = dft_inverse(p, spectrum)
     digits = infinity_norm_log10(fast, full)

@@ -11,15 +11,15 @@ Hermitian spectrum, X[N-k] = conj(X[k]).
 
 Two strategies sit behind :func:`plan`: an iterative radix-2 transform for
 power-of-two sizes and a chirp-based (Bluestein) reduction to a padded
-power-of-two cyclic convolution for every other size.  Both are vectorized
-over a leading batch axis internally.  :func:`dft_direct_reference` evaluates
-the defining sums in O(N^2) and is the oracle the fast paths are tested
-against.
+power-of-two cyclic convolution for every other size.  Both act on one
+1-d sequence; there is no batch axis.  :func:`dft_direct_reference`
+evaluates the defining sums in O(N^2) and is the oracle the fast paths are
+tested against.
 
 :func:`dft_inverse_halfband` inverts a one-sided spectrum of even length N
-using inverse transforms of length N/2 only (even/odd output decimation with
-the Nyquist bin folded into the even half).  It returns the exact length-N
-inverse, bit-for-bit interchangeable with :func:`dft_inverse` up to rounding.
+with two inverse transforms of length N/2, one for the even output samples
+(Nyquist bin folded into DC) and one for the odd.  It returns the exact
+length-N inverse, interchangeable with :func:`dft_inverse` up to rounding.
 """
 
 from __future__ import annotations
@@ -123,17 +123,17 @@ def plan(n: int) -> DftPlan:
 
 
 def _fft_pow2(x: np.ndarray, bitrev: np.ndarray, stages: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Iterative radix-2 transform over the last axis; returns a new array."""
-    y = np.ascontiguousarray(x[..., bitrev]).astype(np.complex128, copy=False)
-    n = y.shape[-1]
+    """Iterative radix-2 transform of a 1-d sequence; returns a new array."""
+    y = x[bitrev].astype(np.complex128, copy=False)
+    n = y.shape[0]
     m = 2
     for w in stages:
         half = m // 2
-        v = y.reshape(y.shape[:-1] + (n // m, m))
-        t = v[..., half:] * w
-        upper = v[..., :half] - t
-        v[..., :half] += t
-        v[..., half:] = upper
+        v = y.reshape(n // m, m)
+        t = v[:, half:] * w
+        upper = v[:, :half] - t
+        v[:, :half] += t
+        v[:, half:] = upper
         m *= 2
     return y
 
@@ -142,12 +142,12 @@ def _bluestein(x: np.ndarray, p: DftPlan) -> np.ndarray:
     """Arbitrary-length forward transform via padded cyclic convolution."""
     n = p.size
     m = p.pad_plan.size
-    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = x * p.chirp
+    a = np.zeros(m, dtype=np.complex128)
+    a[:n] = x * p.chirp
     A = _fft_pow2(a, p.pad_plan.bitrev, p.pad_plan.stages_fwd)
     A *= p.chirp_spectrum
     conv = _fft_pow2(A, p.pad_plan.bitrev, p.pad_plan.stages_inv)
-    return conv[..., :n] * (p.chirp / m)
+    return conv[:n] * (p.chirp / m)
 
 
 def _forward_core(p: DftPlan, x: np.ndarray) -> np.ndarray:
@@ -219,7 +219,7 @@ def dft_inverse_halfband(plan_half: DftPlan, X) -> np.ndarray:
     N/2 < k < N (tolerance 1e-12 relative to the peak magnitude).  Even
     output samples come from the inverse of the low half with the Nyquist
     bin folded into DC; odd samples from the inverse of the twiddled low
-    half.  Both half transforms run as one batched pass.
+    half.  The two half transforms run as separate length-N/2 inverses.
     """
     nh = plan_half.size
     n = 2 * nh
@@ -236,14 +236,11 @@ def dft_inverse_halfband(plan_half: DftPlan, X) -> np.ndarray:
             raise NotOneSidedError(
                 f"spectrum has magnitude {upper:.3e} above Nyquist (peak {peak:.3e})"
             )
-    w = _double_twiddle(nh)
-    batch = np.empty((2, nh), dtype=np.complex128)
-    batch[0] = v[:nh]
-    batch[0, 0] += v[nh]
-    np.multiply(v[:nh], w, out=batch[1])
-    batch[1, 0] -= v[nh]  # w[0] == 1
-    z = _inverse_core(plan_half, batch, 1.0 / n)
+    even = v[:nh].copy()
+    even[0] += v[nh]
+    odd = v[:nh] * _double_twiddle(nh)
+    odd[0] -= v[nh]  # the twiddle at j = 0 is 1
     out = np.empty(n, dtype=np.complex128)
-    out[0::2] = z[0]
-    out[1::2] = z[1]
+    out[0::2] = _inverse_core(plan_half, even, 1.0 / n)
+    out[1::2] = _inverse_core(plan_half, odd, 1.0 / n)
     return out

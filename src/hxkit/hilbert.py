@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -50,10 +49,8 @@ from .errors import (
 __all__ = [
     "Signal",
     "Branch",
-    "MultiplierSpec",
     "bin_frequencies",
-    "sign_multiplier",
-    "second_form_multiplier",
+    "multiplier_bins",
     "log_image",
     "hilbert_first",
     "hilbert_second",
@@ -111,40 +108,24 @@ class Signal:
         return Signal(samples, self.x0, self.dx)
 
 
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """A per-frequency weight with its DC and Nyquist values pinned explicitly."""
-
-    label: str
-    weight: Callable[[float], complex]
-    dc: complex
-    nyquist: complex
-
-    def sample_bins(self, n: int) -> np.ndarray:
-        """Evaluate on the n discrete bins (Nyquist present only for even n)."""
-        s = bin_frequencies(n)
-        m = np.array([self.weight(float(v)) for v in s], dtype=np.complex128)
-        m[0] = self.dc
-        if n % 2 == 0:
-            m[n // 2] = self.nyquist
-        return m
-
-
 def bin_frequencies(n: int) -> np.ndarray:
     """Dimensionless bin frequencies: k/n below Nyquist, (k-n)/n above."""
     k = np.arange(n)
     return np.where(k <= n // 2, k, k - n) / n
 
 
-def sign_multiplier(s: float) -> complex:
-    """i*sgn(s) with sgn(0) = 0."""
-    return 1j * float(np.sign(s))
+def multiplier_bins(n: int, branch=None) -> np.ndarray:
+    """Spectral multiplier on the n bins, with sgn = 0 at DC and Nyquist.
 
-
-def second_form_multiplier(s: float, branch) -> complex:
-    """-i*(sgn(s) +/- 1) with sgn(0) = 0; DC weight is therefore -/+ i."""
-    b = _as_branch(branch)
-    return -1j * (float(np.sign(s)) + b.sign)
+    ``branch=None`` gives the classical i*sgn(s); a branch gives the second
+    form -i*(sgn(s) +/- 1), whose DC weight is therefore -/+ i.
+    """
+    sgn = np.sign(bin_frequencies(n))
+    if n % 2 == 0:
+        sgn[n // 2] = 0.0
+    if branch is None:
+        return 1j * sgn
+    return -1j * (sgn + _as_branch(branch).sign)
 
 
 def log_image(s: float, branch) -> complex:
@@ -155,23 +136,6 @@ def log_image(s: float, branch) -> complex:
         )
     b = _as_branch(branch)
     return complex(-0.5 * (1.0 / abs(s) + b.sign / s))
-
-
-def _first_multiplier_bins(n: int) -> np.ndarray:
-    s = bin_frequencies(n)
-    m = 1j * np.sign(s)
-    m[0] = 0.0
-    if n % 2 == 0:
-        m[n // 2] = 0.0
-    return m
-
-
-def _second_multiplier_bins(n: int, branch: Branch) -> np.ndarray:
-    s = bin_frequencies(n)
-    sgn = np.sign(s)
-    if n % 2 == 0:
-        sgn[n // 2] = 0.0
-    return -1j * (sgn + branch.sign)
 
 
 @lru_cache(maxsize=32)
@@ -196,7 +160,7 @@ def hilbert_first(f: Signal) -> Signal:
     x = _require_real(f, "hilbert_first")
     n = len(x)
     p = _cached_plan(n)
-    out = dft_inverse(p, dft_forward(p, x) * _first_multiplier_bins(n))
+    out = dft_inverse(p, dft_forward(p, x) * multiplier_bins(n))
     scale = np.abs(x).max()
     residue = np.abs(out.imag).max()
     if residue > 1e-12 * max(scale, 1e-300):
@@ -222,11 +186,11 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
     n = len(x)
     p = _cached_plan(n)
     if not halfband:
-        X = dft_forward(p, x) * _second_multiplier_bins(n, b)
+        X = dft_forward(p, x) * multiplier_bins(n, b)
         return f.with_samples(dft_inverse(p, X))
     if n % 2:
         raise InvalidSizeError("halfband inverse needs an even signal length")
-    X = dft_forward(p, x) * _second_multiplier_bins(n, Branch.PLUS)
+    X = dft_forward(p, x) * multiplier_bins(n, Branch.PLUS)
     z = dft_inverse_halfband(_cached_plan(n // 2), X)
     return f.with_samples(z if b is Branch.PLUS else np.conj(z))
 

@@ -98,13 +98,10 @@ class PVRule:
     """Symmetric exclusion of whole grid cells around the singular node."""
 
     exclusion_cells: int = 1
-    endpoint_rule: str = "trapezoid"
 
     def __post_init__(self):
         if self.exclusion_cells < 1 or self.exclusion_cells != int(self.exclusion_cells):
             raise DomainError("exclusion half-width must be a positive whole number of cells")
-        if self.endpoint_rule != "trapezoid":
-            raise DomainError(f"unknown endpoint rule {self.endpoint_rule!r}")
 
 
 def pv_symmetric_demo(a: float, b: float, eps: float) -> float:

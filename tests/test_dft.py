@@ -105,6 +105,15 @@ def test_round_trip_spanning_strategies(n):
     assert rel_err(dft_inverse(p, dft_forward(p, x)), x) < 1e-12
 
 
+@pytest.mark.slow
+def test_large_bluestein_size_matches_numpy():
+    # n = 3^12 pads to a 2^21 convolution
+    n = 3**12
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert rel_err(dft_forward(plan(n), x), np.fft.fft(x)) <= 1e-13
+
+
 @given(
     a=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
     b=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
@@ -162,7 +171,7 @@ class TestHalfband:
         out = dft_inverse_halfband(plan(4), X)
         assert rel_err(out, np.full(8, c / 8)) < 1e-13
 
-    @pytest.mark.parametrize("n", [8, 16, 64, 200, 1024])
+    @pytest.mark.parametrize("n", [8, 16, 64, 200, 1024, 100_000])
     def test_matches_full_inverse_on_random_one_sided(self, n):
         rng = np.random.default_rng(n)
         X = one_sided_spectrum(n, rng)

@@ -21,7 +21,6 @@ from hxkit.errors import (
 )
 from hxkit.hilbert import (
     Branch,
-    MultiplierSpec,
     Signal,
     analytic_signal,
     bin_frequencies,
@@ -31,8 +30,7 @@ from hxkit.hilbert import (
     hilbert_second_via_log_image,
     infinity_norm_log10,
     log_image,
-    second_form_multiplier,
-    sign_multiplier,
+    multiplier_bins,
 )
 
 
@@ -72,26 +70,24 @@ class TestDawsonOracle:
 
 
 class TestMultiplierValues:
-    def test_sign_multiplier(self):
-        assert sign_multiplier(0.25) == 1j
-        assert sign_multiplier(-0.125) == -1j
-        assert sign_multiplier(0.0) == 0
+    def test_first_form_table(self):
+        want = np.array([0, 1j, 1j, 1j, 0, -1j, -1j, -1j])
+        assert np.array_equal(multiplier_bins(8), want)
 
     def test_second_form_plus(self):
-        assert second_form_multiplier(0.25, Branch.PLUS) == -2j
-        assert second_form_multiplier(-0.25, Branch.PLUS) == 0
-        assert second_form_multiplier(0.0, Branch.PLUS) == -1j
+        # -2i above DC, 0 below, -i at DC and Nyquist
+        want = np.array([-1j, -2j, -2j, -2j, -1j, 0, 0, 0])
+        assert np.array_equal(multiplier_bins(8, Branch.PLUS), want)
 
     def test_second_form_minus(self):
-        assert second_form_multiplier(0.25, Branch.MINUS) == 0
-        assert second_form_multiplier(-0.25, Branch.MINUS) == 2j
-        assert second_form_multiplier(0.0, Branch.MINUS) == 1j
+        want = np.array([1j, 0, 0, 0, 1j, 2j, 2j, 2j])
+        assert np.array_equal(multiplier_bins(8, Branch.MINUS), want)
 
     def test_branch_accepts_strings(self):
-        assert second_form_multiplier(0.25, "plus") == -2j
-        assert second_form_multiplier(0.25, "minus") == 0
+        assert np.array_equal(multiplier_bins(8, "plus"), multiplier_bins(8, Branch.PLUS))
+        assert np.array_equal(multiplier_bins(8, "minus"), multiplier_bins(8, Branch.MINUS))
         with pytest.raises(ValueError):
-            second_form_multiplier(0.25, "neither")
+            multiplier_bins(8, "neither")
 
     def test_log_image_values(self):
         assert log_image(1.0, Branch.PLUS) == -1.0
@@ -110,12 +106,6 @@ class TestMultiplierValues:
 
     def test_bin_frequencies_odd(self):
         assert np.array_equal(bin_frequencies(5), [0, 0.2, 0.4, -0.4, -0.2])
-
-    def test_multiplier_spec_pins_dc_and_nyquist(self):
-        spec = MultiplierSpec("classical", sign_multiplier, dc=0j, nyquist=0j)
-        got = spec.sample_bins(8)
-        want = np.array([0, 1j, 1j, 1j, 0, -1j, -1j, -1j])
-        assert np.array_equal(got, want)
 
 
 class TestSignal:

@@ -86,7 +86,7 @@ class TestGridFunction:
 class TestPVRule:
     def test_defaults(self):
         r = PVRule()
-        assert r.exclusion_cells == 1 and r.endpoint_rule == "trapezoid"
+        assert r.exclusion_cells == 1
 
     def test_rejects_zero_width(self):
         with pytest.raises(DomainError):
@@ -95,10 +95,6 @@ class TestPVRule:
     def test_rejects_fractional_width(self):
         with pytest.raises(DomainError):
             PVRule(exclusion_cells=1.5)
-
-    def test_rejects_unknown_endpoint_rule(self):
-        with pytest.raises(DomainError):
-            PVRule(endpoint_rule="simpson")
 
 
 class TestPVQuadrature:
