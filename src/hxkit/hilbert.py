@@ -22,6 +22,23 @@ at every bin and makes Im(H2{f}) = -/+ f exact.  A consequence worth noting:
 the fitted constant in H2 = -H + c*i*f comes out at c = -/+ 1, not -/+ 2;
 :func:`corollary_equivalence_report` measures and reports exactly this.
 
+One real-data pipeline.  Every public transform takes a real signal, and
+for even length N it runs one length-N/2 complex DFT in each direction
+(Sorensen, Jones, Heideman & Burrus 1987, "Real-valued FFT algorithms").
+The forward transform packs x[2m] + i*x[2m+1] without a copy and unpacks
+bins 0..N/2 of the length-N spectrum in O(N).  The inverse repacks the
+multiplied Hermitian spectrum from the same bins, and its length-N/2 output,
+read as interleaved pairs, is the real result by construction.  The second
+form is then built as -H f -/+ i*f, so its Re/Im identities hold bit for
+bit.  Odd lengths keep the length-N complex pipeline, whose inverse leaves
+an imaginary rounding residue; only that path checks the residue and raises
+:class:`~hxkit.errors.InvariantBreach` if it exceeds 1e-12 of the peak.
+Before any of this the signal is scaled to a peak in [1/2, 1) by a power of
+two and the result scaled back.  That is exact, so ordinary input keeps
+the same bits, and finite input of any magnitude cannot overflow inside the
+engine.  A result that itself exceeds the float64 range (possible only for
+peaks near 1.8e308) still overflows when scaled back.
+
 Grid metadata (x0, dx) rides along unchanged: the multipliers are
 dimensionless, so spacing only matters to quadrature oracles that need the
 two representations on a common axis.
@@ -143,6 +160,104 @@ def _cached_plan(n: int) -> DftPlan:
     return plan(n)
 
 
+@lru_cache(maxsize=32)
+def _pack_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """-(i/2)*w^k for k <= n/2 (unpack) and (i/2)*conj(w)^k for k < n/2
+    (repack), with w = exp(-2*pi*i/n)."""
+    w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+    unpack = -0.5j * w
+    repack = 0.5j * np.conj(w[:-1])
+    unpack.setflags(write=False)
+    repack.setflags(write=False)
+    return unpack, repack
+
+
+@lru_cache(maxsize=32)
+def _half_multiplier(n: int, branch) -> np.ndarray:
+    """multiplier_bins(n, branch) on bins 0..n/2, which the packed path uses."""
+    m = multiplier_bins(n, branch)[: n // 2 + 1].copy()
+    m.setflags(write=False)
+    return m
+
+
+def _butterfly(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(a + b)/2 + t*(a - b), the shared step of the unpack and the repack."""
+    d = a - b
+    d *= t
+    s = a + b
+    s *= 0.5
+    s += d
+    return s
+
+
+def _packed_forward(x: np.ndarray) -> np.ndarray:
+    """Bins 0..N/2 of the DFT of real x (even N) from one length-N/2 DFT.
+
+    z[m] = x[2m] + i*x[2m+1] is a view, not a copy.  With Z its transform
+    and Z[N/2] := Z[0], X[k] = (Z[k] + conj Z[N/2-k])/2
+    - (i/2)*w^k*(Z[k] - conj Z[N/2-k]).
+    """
+    nh = x.shape[0] // 2
+    z = dft_forward(_cached_plan(nh), x.view(np.complex128))
+    a = np.append(z, z[0])
+    return _butterfly(a, np.conj(a[::-1]), _pack_twiddles(2 * nh)[0])
+
+
+def _packed_inverse(y: np.ndarray) -> np.ndarray:
+    """Real length-N inverse of a Hermitian spectrum given on bins 0..N/2.
+
+    The repacked Z'[k] = (Y[k] + conj Y[N/2-k])/2
+    + (i/2)*conj(w)^k*(Y[k] - conj Y[N/2-k]) has the length-N/2 inverse
+    y[2m] + i*y[2m+1], so the output is real by construction.
+    """
+    nh = y.shape[0] - 1
+    zp = _butterfly(y[:nh], np.conj(y[nh:0:-1]), _pack_twiddles(2 * nh)[1])
+    return dft_inverse(_cached_plan(nh), zp).view(np.float64)
+
+
+def _full_length(x: np.ndarray, branch=None) -> np.ndarray:
+    """The complex pipeline: length-N forward, multiply, length-N inverse."""
+    n = x.shape[0]
+    p = _cached_plan(n)
+    return dft_inverse(p, dft_forward(p, x) * multiplier_bins(n, branch))
+
+
+def _first_form(x: np.ndarray) -> np.ndarray:
+    """H x for real x: the packed path for even N, the complex one for odd."""
+    n = x.shape[0]
+    if n % 2 == 0:
+        return _packed_inverse(_packed_forward(x) * _half_multiplier(n, None))
+    out = _full_length(x)
+    peak = np.abs(x).max()
+    residue = np.abs(out.imag).max()
+    if residue > 1e-12 * peak:
+        raise InvariantBreach(
+            f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {peak:.3e}"
+        )
+    return out.real.copy()
+
+
+def _halfband_plus(x: np.ndarray) -> np.ndarray:
+    """Plus-branch second form through the half-length inverse (even N)."""
+    n = x.shape[0]
+    spectrum = np.zeros(n, dtype=np.complex128)
+    spectrum[: n // 2 + 1] = _packed_forward(x) * _half_multiplier(n, Branch.PLUS)
+    return dft_inverse_halfband(_cached_plan(n // 2), spectrum)
+
+
+def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
+    """transform(x) computed on x scaled to a peak in [1/2, 1) by a power of 2.
+
+    Every public transform enters here.  The transforms are linear and
+    scaling by 2**e is exact, so ordinary input keeps the same bits while
+    finite input of any magnitude stays clear of overflow inside the
+    engine.  A zero signal has e = 0 and passes through unscaled.
+    """
+    e = math.frexp(float(np.abs(x).max()))[1]
+    out = transform(np.ldexp(x, -e))
+    return np.ldexp(out.view(np.float64), e).view(out.dtype)
+
+
 def _require_real(f: Signal, op: str) -> np.ndarray:
     x = f.samples
     if np.iscomplexobj(x) and np.abs(x.imag).max() > 0:
@@ -151,48 +266,49 @@ def _require_real(f: Signal, op: str) -> np.ndarray:
 
 
 def hilbert_first(f: Signal) -> Signal:
-    """Classical discrete Hilbert transform (multiplier i*sgn(s)).
+    """Classical discrete Hilbert transform (multiplier i*sgn(s)); real output.
 
-    DC and Nyquist content is annihilated.  The inverse transform of a
-    Hermitian-symmetric product is real up to rounding; the imaginary
-    residue is checked against 1e-12*max|f| and truncated.
+    DC and Nyquist content is annihilated.  The signal is first scaled to a
+    peak in [1/2, 1) by a power of two, which is exact.  Even lengths run
+    one length-N/2 forward DFT of the packed real signal and one length-N/2
+    inverse whose output is real by construction.  Odd lengths run the
+    length-N complex pipeline; the imaginary residue of its inverse is
+    checked against 1e-12*max|f| and truncated.
     """
     x = _require_real(f, "hilbert_first")
-    n = len(x)
-    p = _cached_plan(n)
-    out = dft_inverse(p, dft_forward(p, x) * multiplier_bins(n))
-    scale = np.abs(x).max()
-    residue = np.abs(out.imag).max()
-    if residue > 1e-12 * max(scale, 1e-300):
-        raise InvariantBreach(
-            f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {scale:.3e}"
-        )
-    return f.with_samples(out.real.copy())
+    return f.with_samples(_at_unit_scale(x, _first_form))
 
 
 def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
     """Second-form transform: multiplier -i*(sgn(s) +/- 1); complex output.
 
     By multiplier algebra the output z satisfies Re z = -hilbert_first(f)
-    and Im z = -/+ f exactly (plus/minus branch), bin for bin.
+    and Im z = -/+ f (plus/minus branch).  For even lengths z is built as
+    exactly that, from the packed first-form pipeline, so both identities
+    hold bit for bit.  Odd lengths run the length-N complex pipeline with
+    the second-form multiplier, where they hold to rounding.
 
-    With ``halfband=True`` the inverse stage runs at half length on the
-    one-sided multiplied spectrum (plus branch; the minus branch is obtained
-    from the conjugate of the plus-branch output, valid for real f).
-    Requires even length.
+    With ``halfband=True`` the packed forward DFT gives the one-sided
+    multiplied spectrum (plus branch) and the inverse stage runs at half
+    length (:func:`hxkit.dft.dft_inverse_halfband`); the minus branch is
+    the conjugate of the plus-branch output, valid for real f.  Requires
+    even length.  Every route runs at unit scale, as in
+    :func:`hilbert_first`.
     """
     b = _as_branch(branch)
     x = _require_real(f, "hilbert_second")
     n = len(x)
-    p = _cached_plan(n)
-    if not halfband:
-        X = dft_forward(p, x) * multiplier_bins(n, b)
-        return f.with_samples(dft_inverse(p, X))
+    if halfband:
+        if n % 2:
+            raise InvalidSizeError("halfband inverse needs an even signal length")
+        z = _at_unit_scale(x, _halfband_plus)
+        return f.with_samples(z if b is Branch.PLUS else np.conj(z))
     if n % 2:
-        raise InvalidSizeError("halfband inverse needs an even signal length")
-    X = dft_forward(p, x) * multiplier_bins(n, Branch.PLUS)
-    z = dft_inverse_halfband(_cached_plan(n // 2), X)
-    return f.with_samples(z if b is Branch.PLUS else np.conj(z))
+        return f.with_samples(_at_unit_scale(x, lambda v: _full_length(v, b)))
+    z = np.empty(n, dtype=np.complex128)
+    z.real = -_at_unit_scale(x, _first_form)
+    z.imag = -b.sign * x
+    return f.with_samples(z)
 
 
 def hilbert_second_via_log_image(f: Signal, branch) -> Signal:

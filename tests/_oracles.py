@@ -1,14 +1,19 @@
 """Independent numeric oracles used to freeze expected values in tests.
 
-Everything here is deliberately built from different mathematics than the
-package under test: Simpson quadrature of an exponential integral and an
+Most of what is here is deliberately built from different mathematics than
+the package under test: Simpson quadrature of an exponential integral and an
 asymptotic tail series for the Dawson function, plus an exact lattice sum
-(cotangent identity) for periodization.  No spectral machinery involved.
+(cotangent identity) for periodization.  The one spectral oracle,
+:func:`spectral_oracle`, is the length-N complex pipeline that the public
+transforms replace with half-length transforms for even N.
 """
 
 import math
 
 import numpy as np
+
+from hxkit.dft import dft_forward, dft_inverse, plan
+from hxkit.hilbert import multiplier_bins
 
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -65,3 +70,14 @@ def periodized_line_hilbert_gaussian(x: float, period: float, images: int = 30) 
         y = x - m * L
         total += line_hilbert_gaussian(y) + inv_sqrt_pi / y
     return total
+
+
+def spectral_oracle(x, branch=None) -> np.ndarray:
+    """Length-N forward DFT, multiplier, length-N inverse DFT; complex output.
+
+    ``branch=None`` gives the classical transform (real up to rounding), a
+    branch the second form.
+    """
+    n = len(x)
+    p = plan(n)
+    return dft_inverse(p, dft_forward(p, x) * multiplier_bins(n, branch))

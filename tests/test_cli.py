@@ -104,6 +104,18 @@ class TestTransform:
         out = np.frombuffer(dst.read_bytes(), dtype="<f8")
         assert np.abs(out + np.sin(th)).max() <= 1e-12
 
+    def test_f64le_peak_near_float_max_is_not_bad_data(self, capsys, tmp_path):
+        # a peak near the float64 limit is valid data: no overflow, no exit 3
+        x = np.random.default_rng(5).standard_normal(100_000)
+        src = tmp_path / "big.f64le"
+        src.write_bytes((1e305 * x / np.abs(x).max()).astype("<f8").tobytes())
+        dst = tmp_path / "out.f64le"
+        assert main(["transform", "--in", str(src), "--out", str(dst),
+                     "--form", "first"]) == 0
+        out = np.frombuffer(dst.read_bytes(), dtype="<f8")
+        assert out.shape == (100_000,)
+        assert np.all(np.isfinite(out))
+
     def test_explicit_format_overrides_extension(self, capsys, tmp_path):
         src = tmp_path / "in.dat"
         src.write_bytes(np.arange(32, dtype="<f8").tobytes())

@@ -11,11 +11,13 @@ from _oracles import (
     dawson,
     line_hilbert_gaussian,
     periodized_line_hilbert_gaussian,
+    spectral_oracle,
 )
 from hxkit.errors import (
     DataError,
     DegenerateFitError,
     InvalidSizeError,
+    InvariantBreach,
     SingularFrequencyError,
     SizeMismatchError,
 )
@@ -246,6 +248,76 @@ class TestHilbertSecond:
             hilbert_second(Signal(seeded(0, 15)), Branch.PLUS, halfband=True)
 
 
+class TestPackedPath:
+    """Even lengths run half-length transforms; the length-N pipeline is the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 100, 1024, 5794, 100_000, 1 << 18])
+    def test_matches_spectral_oracle(self, n):
+        x = seeded(n, n)
+        f = Signal(x)
+        tol = 1e-13 * np.abs(x).max()
+        h = spectral_oracle(x)
+        assert np.abs(hilbert_first(f).samples - h).max() <= tol
+        for b in Branch:
+            assert np.abs(hilbert_second(f, b).samples - spectral_oracle(x, b)).max() <= tol
+        assert np.abs(analytic_signal(f).samples - (x - 1j * h)).max() <= tol
+
+    @pytest.mark.parametrize("n", [2, 6, 64, 100, 5794])
+    def test_second_form_identities_are_bit_exact(self, n):
+        x = seeded(n + 1, n)
+        f = Signal(x)
+        h1 = hilbert_first(f).samples
+        for b in Branch:
+            z = hilbert_second(f, b).samples
+            assert np.array_equal(z.real, -h1)
+            assert np.array_equal(z.imag, -b.sign * x)
+
+    def test_residue_check_guards_the_odd_path(self, monkeypatch):
+        import hxkit.hilbert as hilbert
+
+        inverse = hilbert.dft_inverse
+        monkeypatch.setattr(hilbert, "dft_inverse", lambda p, X: inverse(p, X) + 1e-9j)
+        with pytest.raises(InvariantBreach):
+            hilbert_first(Signal(seeded(0, 63)))
+        hilbert_first(Signal(seeded(0, 64)))  # real by construction: nothing to check
+
+
+def ldexp_any(a, k):
+    """a * 2**k for real or complex arrays."""
+    return np.ldexp(a.view(np.float64), k).view(a.dtype)
+
+
+class TestMagnitudeRange:
+    """Signals are scaled to a unit peak by a power of two before transforming."""
+
+    @pytest.mark.parametrize("peak", [1e-300, 1e300, 1e305, 1e307])
+    @pytest.mark.parametrize("n", [3, 6, 1024, 5793, 100_000])
+    def test_extreme_peaks_match_unit_scale(self, peak, n):
+        x = seeded(n, n)
+        x /= np.abs(x).max()
+        big, unit = Signal(peak * x), Signal(x)
+        pairs = [
+            (hilbert_first(big), hilbert_first(unit)),
+            (analytic_signal(big), analytic_signal(unit)),
+            *((hilbert_second(big, b), hilbert_second(unit, b)) for b in Branch),
+        ]
+        if n % 2 == 0:
+            pairs.append((hilbert_second(big, Branch.PLUS, halfband=True),
+                          hilbert_second(unit, Branch.PLUS, halfband=True)))
+        for got, want in pairs:
+            assert np.all(np.isfinite(got.samples))
+            assert np.abs(got.samples / peak - want.samples).max() <= 1e-13 * np.abs(want.samples).max()
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_zero_signal_gives_zeros(self, n):
+        f = Signal(np.zeros(n))
+        outs = [hilbert_first(f), analytic_signal(f), hilbert_second(f, Branch.MINUS)]
+        if n % 2 == 0:
+            outs.append(hilbert_second(f, Branch.PLUS, halfband=True))
+        for out in outs:
+            assert not np.any(out.samples)
+
+
 class TestRouteB:
     def test_cosine_matches_route_a(self):
         th = theta(16)
@@ -411,3 +483,18 @@ def test_property_halfband_composition_digits(seed, n):
     full = hilbert_second(f, Branch.PLUS).samples
     fast = hilbert_second(f, Branch.PLUS, halfband=True).samples
     assert infinity_norm_log10(full, fast) >= 12.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([64, 63, 100]),
+    k=st.integers(-900, 900),
+)
+def test_property_power_of_two_scaling_is_exact(seed, n, k):
+    # even radix-2, odd and even Bluestein sizes (the half plan of 100 is 50)
+    x = seeded(seed, n)
+    f, g = Signal(x), Signal(np.ldexp(x, k))
+    assert np.array_equal(hilbert_first(g).samples, ldexp_any(hilbert_first(f).samples, k))
+    for b in Branch:
+        assert np.array_equal(hilbert_second(g, b).samples, ldexp_any(hilbert_second(f, b).samples, k))

@@ -55,6 +55,14 @@ class TestCoreSuite:
         line = next(c.line for c in core.checks if c.name == "im_identity")
         assert "-log10 Linf >= 12" in line
 
+    def test_identity_checks_are_cross_checks(self, core):
+        # the public path satisfies both identities by construction for even n,
+        # so each check reads one side off the full-length complex pipeline
+        for name in ("re_identity", "im_identity"):
+            check = next(c for c in core.checks if c.name == name)
+            assert check.measured > 0.0
+            assert "n in {63, 64, 1024}" in check.notes[0]
+
     def test_corollary_finding_text(self, core):
         check = next(c for c in core.checks if c.name == "corollary_2_4")
         assert "c_fit=-1.000" in check.line
