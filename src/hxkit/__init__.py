@@ -22,6 +22,7 @@ from .dft import (
     dft_inverse_halfband,
     plan,
 )
+from .errors import ResultOverflowError
 from .hilbert import (
     Branch,
     EquivalenceReport,

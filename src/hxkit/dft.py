@@ -9,12 +9,17 @@ Bin k maps to the dimensionless frequency s = k/N for k < N/2, s = (k-N)/N
 for k > N/2, with the Nyquist bin at k = N/2 for even N.  Real input gives a
 Hermitian spectrum, X[N-k] = conj(X[k]).
 
-Two strategies sit behind :func:`plan`: an iterative radix-2 transform for
-power-of-two sizes and a chirp-based (Bluestein) reduction to a padded
-power-of-two cyclic convolution for every other size.  Both act on one
-1-d sequence; there is no batch axis.  :func:`dft_direct_reference`
-evaluates the defining sums in O(N^2) and is the oracle the fast paths are
-tested against.
+Two strategies sit behind :func:`plan`.  Every size n = 2^a * 3^b * 5^c
+runs a self-sorting (Stockham) mixed-radix transform (Cochran et al. 1967;
+Temperton 1983, "Self-sorting mixed-radix fast Fourier transforms"): radix-4
+stages first, then radix 2, 3 and 5, each an explicit butterfly with one
+twiddle table.  Every stage is one full-array pass from the previous array
+into a fresh one, and the spectrum comes out in natural order, so there is
+no bit-reversal gather.  Every other size takes the chirp-based (Bluestein)
+reduction to a cyclic convolution, padded to the smallest 5-smooth length
+>= 2n-1 and run on the same stages.  Both act on one 1-d sequence; there is
+no batch axis.  :func:`dft_direct_reference` evaluates the defining sums in
+O(N^2) and is the oracle the fast paths are tested against.
 
 :func:`dft_inverse_halfband` inverts a one-sided spectrum of even length N
 with two inverse transforms of length N/2, one for the even output samples
@@ -46,7 +51,7 @@ __all__ = [
     "dft_inverse_halfband",
 ]
 
-RADIX2 = "radix2"
+STOCKHAM = "stockham"
 BLUESTEIN = "bluestein"
 
 
@@ -56,9 +61,10 @@ class DftPlan:
 
     size: int
     strategy: str
-    # radix-2 tables (populated for power-of-two sizes, and for the padded
-    # power-of-two transform inside a Bluestein plan)
-    bitrev: np.ndarray | None = field(default=None, repr=False)
+    # Stockham stages (populated for 5-smooth sizes, and for the padded
+    # 5-smooth transform inside a Bluestein plan): one twiddle table of
+    # shape (r-1, m, 1) per full-array pass, r the radix, m = the stage's
+    # remaining length / r
     stages_fwd: tuple[np.ndarray, ...] = field(default=(), repr=False)
     stages_inv: tuple[np.ndarray, ...] = field(default=(), repr=False)
     # Bluestein tables
@@ -66,76 +72,202 @@ class DftPlan:
     chirp: np.ndarray | None = field(default=None, repr=False)
     chirp_spectrum: np.ndarray | None = field(default=None, repr=False)
 
-
-def _bitrev_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.int64)
-    work = np.arange(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (work & 1)
-        work >>= 1
-    return rev
+    @property
+    def bitrev(self) -> None:
+        """Always None: the self-sorting stages need no bit-reversal gather."""
+        return None
 
 
-def _stage_twiddles(n: int, sign: int) -> tuple[np.ndarray, ...]:
+def _radices(n: int) -> list[int] | None:
+    """Stage radices of a 5-smooth n (fours first, then 2, 3, 5), else None."""
     out = []
-    m = 2
-    while m <= n:
-        out.append(np.exp(sign * 2j * np.pi * np.arange(m // 2) / m))
-        m *= 2
+    while n % 4 == 0:
+        out.append(4)
+        n //= 4
+    for r in (2, 3, 5):
+        while n % r == 0:
+            out.append(r)
+            n //= r
+    return out if n == 1 else None
+
+
+def _next_smooth(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _unit_roots(e: np.ndarray, n: int, sign: int) -> np.ndarray:
+    """exp(sign*2*pi*i*e/n), with e reduced mod n to the residue nearest 0.
+
+    The reduction keeps every angle within [-pi, pi], where it is formed
+    with the least rounding.
+    """
+    e = e % n
+    e = np.where(2 * e > n, e - n, e)
+    return np.exp((sign * 2j * np.pi / n) * e)
+
+
+def _stage_tables(n: int, radices: list[int]) -> tuple[np.ndarray, ...]:
+    """Forward twiddles exp(-2*pi*i*j*p/L), 0 < j < r, p < m, of each stage
+    of length L = r*m, as (r-1, m, 1) tables."""
+    out = []
+    length = n
+    for r in radices:
+        m = length // r
+        e = np.arange(1, r)[:, None] * np.arange(m)[None, :]
+        out.append(_unit_roots(e, length, -1)[:, :, None])
+        length = m
     return tuple(out)
 
 
 def plan(n: int) -> DftPlan:
     """Build a reusable transform plan for size ``n``.
 
-    Power-of-two sizes get the radix-2 strategy, everything else the
-    chirp-based arbitrary-length strategy.
+    Sizes 2^a * 3^b * 5^c get the Stockham strategy, every other size the
+    chirp-based (Bluestein) strategy on a 5-smooth padded length.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidSizeError(f"transform size must be a positive integer, got {n!r}")
     n = int(n)
-    if n & (n - 1) == 0:
+    radices = _radices(n)
+    if radices is not None:
+        fwd = _stage_tables(n, radices)
         return DftPlan(
             size=n,
-            strategy=RADIX2,
-            bitrev=_bitrev_indices(n),
-            stages_fwd=_stage_twiddles(n, -1),
-            stages_inv=_stage_twiddles(n, +1),
+            strategy=STOCKHAM,
+            stages_fwd=fwd,
+            stages_inv=tuple(np.conj(w) for w in fwd),
         )
-    m = 1 << (2 * n - 1).bit_length()
-    # chirp exponent reduced mod 2n: exp(-i*pi*k^2/n) is periodic in k^2
-    # with period 2n, and the reduction keeps the angle small and accurate
+    m = _next_smooth(2 * n - 1)
+    # exp(-i*pi*k^2/n) is periodic in k^2 with period 2n
     k = np.arange(n, dtype=np.int64)
-    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
+    chirp = _unit_roots(k * k, 2 * n, -1)
     pad_plan = plan(m)
     b = np.zeros(m, dtype=np.complex128)
     b[:n] = np.conj(chirp)
     b[m - n + 1:] = np.conj(chirp[1:])[::-1]
-    chirp_spectrum = _fft_pow2(b, pad_plan.bitrev, pad_plan.stages_fwd)
     return DftPlan(
         size=n,
         strategy=BLUESTEIN,
         pad_plan=pad_plan,
         chirp=chirp,
-        chirp_spectrum=chirp_spectrum,
+        chirp_spectrum=_stockham(b, pad_plan.stages_fwd, -1),
     )
 
 
-def _fft_pow2(x: np.ndarray, bitrev: np.ndarray, stages: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Iterative radix-2 transform of a 1-d sequence; returns a new array."""
-    y = x[bitrev].astype(np.complex128, copy=False)
-    n = y.shape[0]
-    m = 2
+_C3 = np.sqrt(3.0) / 2.0
+_C5 = (np.cos(2 * np.pi / 5) - np.cos(4 * np.pi / 5)) / 2.0
+_S5 = (np.sin(2 * np.pi / 5), np.sin(4 * np.pi / 5))
+
+
+def _put(y: np.ndarray, j: int, v: np.ndarray, w: np.ndarray) -> None:
+    """y[:, j] = v * w[j-1], the twiddled butterfly output j > 0."""
+    if w.shape[1] == 1:  # last stage: every twiddle is 1
+        y[:, j] = v
+    else:
+        np.multiply(v, w[j - 1], out=y[:, j])
+
+
+# Each butterfly reads a = x as (r, m, s) and writes, for every j < r,
+# y[:, j] = w[j-1] * sum_t a[t] * exp(sign*2*pi*i*j*t/r)  (no twiddle at j = 0).
+
+
+def _radix2(a, y, w, sign):
+    np.add(a[0], a[1], out=y[:, 0])
+    _put(y, 1, a[0] - a[1], w)
+
+
+def _radix3(a, y, w, sign):
+    s = a[1] + a[2]
+    d = a[1] - a[2]
+    d *= sign * 1j * _C3
+    np.add(a[0], s, out=y[:, 0])
+    s *= -0.5
+    s += a[0]
+    _put(y, 1, s + d, w)
+    s -= d
+    _put(y, 2, s, w)
+
+
+def _radix4(a, y, w, sign):
+    p = a[0] + a[2]
+    q = a[1] + a[3]
+    np.add(p, q, out=y[:, 0])
+    p -= q
+    _put(y, 2, p, w)
+    np.subtract(a[0], a[2], out=p)
+    np.subtract(a[1], a[3], out=q)
+    q *= sign * 1j
+    v = p + q
+    _put(y, 1, v, w)
+    np.subtract(p, q, out=v)
+    _put(y, 3, v, w)
+
+
+def _radix5(a, y, w, sign):
+    # cosine parts a0 + c1*b1 + c2*b2 and a0 + c2*b1 + c1*b2 with
+    # c1 + c2 = -1/2, so both are (a0 - (b1+b2)/4) +/- (c1-c2)/2*(b1-b2)
+    b1 = a[1] + a[4]
+    b2 = a[2] + a[3]
+    t = b1 + b2
+    np.add(a[0], t, out=y[:, 0])
+    t *= -0.25
+    t += a[0]
+    b1 -= b2
+    b1 *= _C5
+    c1 = t + b1
+    t -= b1
+    # sine parts times sign*i
+    d1 = a[1] - a[4]
+    d2 = a[2] - a[3]
+    s1, s2 = sign * 1j * _S5[0], sign * 1j * _S5[1]
+    u1 = s1 * d1
+    np.multiply(d2, s2, out=b1)
+    u1 += b1
+    d1 *= s2
+    d2 *= s1
+    d1 -= d2
+    _put(y, 1, c1 + u1, w)
+    c1 -= u1
+    _put(y, 4, c1, w)
+    _put(y, 2, t + d1, w)
+    t -= d1
+    _put(y, 3, t, w)
+
+
+_BUTTERFLIES = {2: _radix2, 3: _radix3, 4: _radix4, 5: _radix5}
+
+
+def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int) -> np.ndarray:
+    """Self-sorting mixed-radix transform of a 1-d sequence; a new array.
+
+    Stage by stage, with s the product of the radices already done, the
+    input is read as (r, m, s) and a fresh (m, r, s) output is written:
+    y[p, j, q] = w_(r*m)^(j*p) * sum_t x[t, p, q] * w_r^(j*t), w_L =
+    exp(sign*2*pi*i/L).  Each of the s interleaved sub-transforms of
+    length r*m becomes r of length m, and after the last stage the
+    spectrum is in natural order.
+    """
+    n = x.shape[0]
+    s = 1
     for w in stages:
-        half = m // 2
-        v = y.reshape(n // m, m)
-        t = v[:, half:] * w
-        upper = v[:, :half] - t
-        v[:, :half] += t
-        v[:, half:] = upper
-        m *= 2
-    return y
+        r, m = w.shape[0] + 1, w.shape[1]
+        y = np.empty((m, r, s), dtype=np.complex128)
+        _BUTTERFLIES[r](x.reshape(r, m, s), y, w, sign)
+        x = y.reshape(n)
+        s *= r
+    return x if stages else x.copy()
 
 
 def _bluestein(x: np.ndarray, p: DftPlan) -> np.ndarray:
@@ -144,24 +276,23 @@ def _bluestein(x: np.ndarray, p: DftPlan) -> np.ndarray:
     m = p.pad_plan.size
     a = np.zeros(m, dtype=np.complex128)
     a[:n] = x * p.chirp
-    A = _fft_pow2(a, p.pad_plan.bitrev, p.pad_plan.stages_fwd)
+    A = _stockham(a, p.pad_plan.stages_fwd, -1)
     A *= p.chirp_spectrum
-    conv = _fft_pow2(A, p.pad_plan.bitrev, p.pad_plan.stages_inv)
+    conv = _stockham(A, p.pad_plan.stages_inv, +1)
     return conv[:n] * (p.chirp / m)
 
 
 def _forward_core(p: DftPlan, x: np.ndarray) -> np.ndarray:
-    if p.strategy == RADIX2:
-        return _fft_pow2(x, p.bitrev, p.stages_fwd)
+    if p.strategy == STOCKHAM:
+        return _stockham(x, p.stages_fwd, -1)
     return _bluestein(x, p)
 
 
 def _inverse_core(p: DftPlan, X: np.ndarray, scale: float) -> np.ndarray:
-    if p.strategy == RADIX2:
-        y = _fft_pow2(X, p.bitrev, p.stages_inv)
-        y *= scale
-        return y
-    y = np.conj(_bluestein(np.conj(X), p))
+    if p.strategy == STOCKHAM:
+        y = _stockham(X, p.stages_inv, +1)
+    else:
+        y = np.conj(_bluestein(np.conj(X), p))
     y *= scale
     return y
 
@@ -197,10 +328,15 @@ def dft_direct_reference(x, direction: str = "forward") -> np.ndarray:
     n = v.shape[0]
     k = np.arange(n, dtype=np.int64)
     sign = -1.0 if direction == "forward" else 1.0
+    # the kernel is built in blocks of rows of at most 2^20 entries, so
+    # memory stays O(N) however large N is
     # reduce k*l mod n before forming the angle: keeps the kernel accurate
     # for every N without large-angle trig loss
-    e = np.exp((sign * 2j * np.pi / n) * ((k[:, None] * k[None, :]) % n))
-    y = e @ v
+    roots = np.exp((sign * 2j * np.pi / n) * k)
+    rows = max(1, (1 << 20) // n)
+    y = np.empty(n, dtype=np.complex128)
+    for lo in range(0, n, rows):
+        y[lo:lo + rows] = roots[(k[lo:lo + rows, None] * k[None, :]) % n] @ v
     return y if direction == "forward" else y / n
 
 

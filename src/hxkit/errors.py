@@ -1,7 +1,8 @@
 """Typed errors shared across the package.
 
 The CLI maps these onto exit codes: validation problems (every ValueError
-subclass here) exit 2, malformed or non-finite data exits 3, and a breached
+subclass here but DataError, including a result beyond the float64 range)
+exit 2, malformed or non-finite data (DataError) exits 3, and a breached
 internal invariant exits 4.
 """
 
@@ -48,6 +49,16 @@ class GeometryError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Fewer samples than the statistic requires."""
+
+
+class ResultOverflowError(ValueError):
+    """A transform of finite input has a result beyond the float64 range.
+
+    Every public transform runs at unit scale, so finite input of any
+    magnitude is transformed without overflow; only a result whose peak
+    exceeds the largest finite float64 (about 1.8e308) cannot be returned.
+    The input is valid, so this is not a :class:`DataError`.
+    """
 
 
 class DataError(ValueError):

@@ -37,7 +37,8 @@ Before any of this the signal is scaled to a peak in [1/2, 1) by a power of
 two and the result scaled back.  That is exact, so ordinary input keeps
 the same bits, and finite input of any magnitude cannot overflow inside the
 engine.  A result that itself exceeds the float64 range (possible only for
-peaks near 1.8e308) still overflows when scaled back.
+peaks near 1.8e308) raises :class:`~hxkit.errors.ResultOverflowError`
+instead of being scaled back.
 
 Grid metadata (x0, dx) rides along unchanged: the multipliers are
 dimensionless, so spacing only matters to quadrature oracles that need the
@@ -47,6 +48,7 @@ two representations on a common axis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -58,6 +60,7 @@ from .errors import (
     DataError,
     DegenerateFitError,
     InvalidSizeError,
+    ResultOverflowError,
     SingularFrequencyError,
     SizeMismatchError,
     InvariantBreach,
@@ -251,11 +254,20 @@ def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
     Every public transform enters here.  The transforms are linear and
     scaling by 2**e is exact, so ordinary input keeps the same bits while
     finite input of any magnitude stays clear of overflow inside the
-    engine.  A zero signal has e = 0 and passes through unscaled.
+    engine.  A zero signal has e = 0 and passes through unscaled.  A
+    result whose peak would exceed the float64 range after scaling back
+    raises :class:`~hxkit.errors.ResultOverflowError`.
     """
     e = math.frexp(float(np.abs(x).max()))[1]
     out = transform(np.ldexp(x, -e))
-    return np.ldexp(out.view(np.float64), e).view(out.dtype)
+    parts = out.view(np.float64)
+    top = math.frexp(float(np.abs(parts).max()))[1] + e
+    if top > sys.float_info.max_exp:
+        raise ResultOverflowError(
+            f"result peak is at least 2^{top - 1}, beyond the float64 range "
+            f"(largest finite value {sys.float_info.max:.4g})"
+        )
+    return np.ldexp(parts, e).view(out.dtype)
 
 
 def _require_real(f: Signal, op: str) -> np.ndarray:
@@ -311,18 +323,8 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
     return f.with_samples(z)
 
 
-def hilbert_second_via_log_image(f: Signal, branch) -> Signal:
-    """Second form routed through the derivative theorem and the log image.
-
-    Three spectral factors: the derivative image 2*pi*i*s, the log image
-    -(1/2)(1/|s| +/- 1/s), and the 1/pi prefactor of the defining
-    convolution.  Their product collapses to -i*(sgn(s) +/- 1) away from
-    s = 0, with the frequency scale cancelling between the first two
-    factors.  At DC (and Nyquist, where sgn is pinned to 0) the finite
-    product limit -/+ i is used directly.
-    """
-    b = _as_branch(branch)
-    x = _require_real(f, "hilbert_second_via_log_image")
+def _log_image_route(x: np.ndarray, b: Branch) -> np.ndarray:
+    """The second form of real x through the three spectral factors."""
     n = len(x)
     p = _cached_plan(n)
     s = bin_frequencies(n)
@@ -336,7 +338,23 @@ def hilbert_second_via_log_image(f: Signal, branch) -> Signal:
     out[mask] = (1.0 / np.pi) * (2j * np.pi * sm) * log_img * F[mask]
     limit = -1j * b.sign  # limit of the three-factor product as s -> 0
     out[~mask] = limit * F[~mask]
-    return f.with_samples(dft_inverse(p, out))
+    return dft_inverse(p, out)
+
+
+def hilbert_second_via_log_image(f: Signal, branch) -> Signal:
+    """Second form routed through the derivative theorem and the log image.
+
+    Three spectral factors: the derivative image 2*pi*i*s, the log image
+    -(1/2)(1/|s| +/- 1/s), and the 1/pi prefactor of the defining
+    convolution.  Their product collapses to -i*(sgn(s) +/- 1) away from
+    s = 0, with the frequency scale cancelling between the first two
+    factors.  At DC (and Nyquist, where sgn is pinned to 0) the finite
+    product limit -/+ i is used directly.  Runs at unit scale, as in
+    :func:`hilbert_first`.
+    """
+    b = _as_branch(branch)
+    x = _require_real(f, "hilbert_second_via_log_image")
+    return f.with_samples(_at_unit_scale(x, lambda v: _log_image_route(v, b)))
 
 
 def analytic_signal(f: Signal) -> Signal:

@@ -128,13 +128,16 @@ def _core_suite(k: float, seed: int) -> list:
         worst = max(worst, float(np.abs(got - ref).max() / np.abs(ref).max()))
     checks.append(_err_check("dft_oracle", worst, 1e-10 * k, "fast vs direct, all n <= 64"))
 
+    # every stage kind: radix 4 (1024), 4 and 3 (192), 4 and 2 (2048), 3 (3^7),
+    # 5 (5^5), and Bluestein on a 5-smooth pad (1009 is prime, pads to 2025)
     worst = 0.0
-    for n in (192, 1024):
+    for n in (192, 1024, 2048, 3**7, 5**5, 1009):
         x = _seeded(seed, n)
         p = plan(n)
         back = dft_inverse(p, dft_forward(p, x))
         worst = max(worst, float(np.abs(back - x).max() / np.abs(x).max()))
-    checks.append(_err_check("dft_roundtrip", worst, 1e-12 * k))
+    checks.append(_err_check("dft_roundtrip", worst, 1e-12 * k,
+                             "n in {192, 1024, 2048, 2187, 3125, 1009}"))
 
     n = 256
     th = 2.0 * np.pi * np.arange(n) / n

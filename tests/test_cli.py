@@ -116,6 +116,15 @@ class TestTransform:
         assert out.shape == (100_000,)
         assert np.all(np.isfinite(out))
 
+    def test_f64le_result_beyond_float64_range_exits_2(self, capsys, tmp_path):
+        # valid data whose transform cannot be represented: exit 2, not 3
+        n = 4096
+        src = tmp_path / "square.f64le"
+        src.write_bytes(np.where(np.arange(n) < n // 2, 1.7e308, -1.7e308).astype("<f8").tobytes())
+        assert main(["transform", "--in", str(src), "--out", str(tmp_path / "out.f64le"),
+                     "--form", "first"]) == 2
+        assert "float64 range" in capsys.readouterr().err
+
     def test_explicit_format_overrides_extension(self, capsys, tmp_path):
         src = tmp_path / "in.dat"
         src.write_bytes(np.arange(32, dtype="<f8").tobytes())

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hxkit.dft import (
     BLUESTEIN,
-    RADIX2,
+    STOCKHAM,
     dft_direct_reference,
     dft_forward,
     dft_inverse,
@@ -24,8 +24,11 @@ def rel_err(got, want):
 
 
 class TestPlan:
-    def test_power_of_two_selects_radix2(self):
-        assert plan(1024).strategy == RADIX2
+    @pytest.mark.parametrize("n", [1024, 3**7, 100_000])
+    def test_five_smooth_size_selects_stockham(self, n):
+        p = plan(n)
+        assert p.strategy == STOCKHAM
+        assert p.bitrev is None and p.pad_plan is None
 
     def test_fractional_power_size_selects_arbitrary_length(self):
         # 5793 = round(2^12.5)
@@ -105,13 +108,70 @@ def test_round_trip_spanning_strategies(n):
     assert rel_err(dft_inverse(p, dft_forward(p, x)), x) < 1e-12
 
 
+def is_five_smooth(m):
+    for r in (2, 3, 5):
+        while m % r == 0:
+            m //= r
+    return m == 1
+
+
+# 3^7, 5^5 and 2*4^5 isolate the radix-3, radix-5 and radix-4/2 stages;
+# the rest mix them (25 000 = 4*2*5^5, 100 000 = 4^2*2*5^5)
+@pytest.mark.parametrize("n", [3**7, 5**5, 2 * 4**5, 2**17, 25_000, 50_000, 100_000])
+def test_stockham_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    p = plan(n)
+    assert p.strategy == STOCKHAM
+    assert rel_err(dft_forward(p, x), np.fft.fft(x)) <= 1e-13
+    assert rel_err(dft_inverse(p, x), np.fft.ifft(x)) <= 1e-13
+
+
+@given(
+    n=st.sampled_from([m for m in range(1, 4097) if is_five_smooth(m)]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_five_smooth_sizes_match_direct_sum(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    p = plan(n)
+    assert p.strategy == STOCKHAM
+    assert rel_err(dft_forward(p, x), dft_direct_reference(x, "forward")) <= 1e-10
+    assert rel_err(dft_inverse(p, x), dft_direct_reference(x, "inverse")) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1009, 5793])
+def test_bluestein_pads_to_smallest_five_smooth_length(n):
+    p = plan(n)
+    assert p.strategy == BLUESTEIN
+    m = p.pad_plan.size
+    assert m >= 2 * n - 1 and is_five_smooth(m)
+    assert not any(is_five_smooth(k) for k in range(2 * n - 1, m))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert rel_err(dft_forward(p, x), dft_direct_reference(x, "forward")) <= 1e-12
+    assert rel_err(dft_inverse(p, x), dft_direct_reference(x, "inverse")) <= 1e-12
+
+
 @pytest.mark.slow
 def test_large_bluestein_size_matches_numpy():
-    # n = 3^12 pads to a 2^21 convolution
+    # n = 3^12 is 5-smooth, so this pins a large mixed-radix (radix-3) size
     n = 3**12
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert rel_err(dft_forward(plan(n), x), np.fft.fft(x)) <= 1e-13
+
+
+@pytest.mark.slow
+def test_large_prime_factor_size_runs_bluestein():
+    # n = 2^20 + 2 = 2 * 3 * 174763 pads to 2 099 520 = 2^6 * 3^8 * 5
+    n = 2**20 + 2
+    p = plan(n)
+    assert p.strategy == BLUESTEIN and p.pad_plan.size == 2_099_520
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert rel_err(dft_forward(p, x), np.fft.fft(x)) <= 1e-13
 
 
 @given(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hxkit.errors import (
     DegenerateFitError,
     InvalidSizeError,
     InvariantBreach,
+    ResultOverflowError,
     SingularFrequencyError,
     SizeMismatchError,
 )
@@ -307,6 +309,27 @@ class TestMagnitudeRange:
         for got, want in pairs:
             assert np.all(np.isfinite(got.samples))
             assert np.abs(got.samples / peak - want.samples).max() <= 1e-13 * np.abs(want.samples).max()
+
+    @pytest.mark.parametrize("peak", [1e-300, 1e300, 1e305, 1e307])
+    @pytest.mark.parametrize("n", [63, 100, 1024])
+    def test_log_image_route_matches_unit_scale(self, peak, n):
+        x = seeded(n, n)
+        x /= np.abs(x).max()
+        for b in Branch:
+            got = hilbert_second_via_log_image(Signal(peak * x), b).samples
+            want = hilbert_second_via_log_image(Signal(x), b).samples
+            assert np.all(np.isfinite(got))
+            assert np.abs(got / peak - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_result_beyond_float64_range_is_not_bad_data(self):
+        # H of a unit square wave peaks at 5.4 next to its jumps (n = 4096),
+        # so at amplitude 1.7e308 the result is past the largest float64
+        n = 4096
+        f = Signal(np.where(np.arange(n) < n // 2, 1.7e308, -1.7e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResultOverflowError, match="float64 range"):
+                hilbert_first(f)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_zero_signal_gives_zeros(self, n):
