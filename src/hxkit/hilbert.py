@@ -25,13 +25,19 @@ the fitted constant in H2 = -H + c*i*f comes out at c = -/+ 1, not -/+ 2;
 One real-data pipeline.  Every public transform takes a real signal, and
 for even length N it runs one length-N/2 complex DFT in each direction
 (Sorensen, Jones, Heideman & Burrus 1987, "Real-valued FFT algorithms").
-The forward transform packs x[2m] + i*x[2m+1] without a copy and unpacks
-bins 0..N/2 of the length-N spectrum in O(N).  The inverse repacks the
-multiplied Hermitian spectrum from the same bins, and its length-N/2 output,
-read as interleaved pairs, is the real result by construction.  The second
-form is then built as -H f -/+ i*f, so its Re/Im identities hold bit for
-bit.  Odd lengths keep the length-N complex pipeline, whose inverse leaves
-an imaginary rounding residue; only that path checks the residue and raises
+The forward transform packs x[2m] + i*x[2m+1] without a copy.  Unpacking
+the length-N spectrum, multiplying it and repacking the product are linear
+in Z[k] and conj Z[N/2-k] of the packed transform Z, so for the first form
+they run as one O(N) pass with per-bin weights derived from
+:func:`multiplier_bins`; the length-N/2 inverse of the result, read as
+interleaved pairs, is the real output by construction.  The second form is
+then built as -H f -/+ i*f in one complex output, so its Re/Im identities
+hold bit for bit.  The half-band route unpacks bins 0..N/2, multiplies them
+and hands them to :func:`hxkit.dft.dft_inverse_halfband`.  Scratch arrays
+are reused within a call, and the engine keeps its own per-thread
+workspace, so a warmed call allocates a few arrays of the output's size.
+Odd lengths keep the length-N complex pipeline, whose inverse leaves an
+imaginary rounding residue; only that path checks the residue and raises
 :class:`~hxkit.errors.InvariantBreach` if it exceeds 1e-12 of the peak.
 Before any of this the signal is scaled to a peak in [1/2, 1) by a power of
 two and the result scaled back.  That is exact, so ordinary input keeps
@@ -55,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dft import DftPlan, dft_forward, dft_inverse, dft_inverse_halfband, plan
+from .dft import DftPlan, _unit_roots, dft_forward, dft_inverse, dft_inverse_halfband, plan
 from .errors import (
     DataError,
     DegenerateFitError,
@@ -164,72 +170,112 @@ def _cached_plan(n: int) -> DftPlan:
 
 
 @lru_cache(maxsize=32)
-def _pack_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """-(i/2)*w^k for k <= n/2 (unpack) and (i/2)*conj(w)^k for k < n/2
-    (repack), with w = exp(-2*pi*i/n)."""
-    w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
-    unpack = -0.5j * w
-    repack = 0.5j * np.conj(w[:-1])
-    unpack.setflags(write=False)
-    repack.setflags(write=False)
-    return unpack, repack
+def _pack_twiddles(n: int) -> np.ndarray:
+    """-(i/2)*w^k for k <= n/2, w = exp(-2*pi*i/n): the unpack twiddles."""
+    t = -0.5j * _unit_roots(np.arange(n // 2 + 1), n, -1)
+    t.setflags(write=False)
+    return t
 
 
 @lru_cache(maxsize=32)
-def _half_multiplier(n: int, branch) -> np.ndarray:
-    """multiplier_bins(n, branch) on bins 0..n/2, which the packed path uses."""
-    m = multiplier_bins(n, branch)[: n // 2 + 1].copy()
+def _plus_half_multiplier(n: int) -> np.ndarray:
+    """multiplier_bins(n, Branch.PLUS) on bins 0..n/2, which the half-band
+    route uses."""
+    m = multiplier_bins(n, Branch.PLUS)[: n // 2 + 1].copy()
     m.setflags(write=False)
     return m
 
 
-def _butterfly(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(a + b)/2 + t*(a - b), the shared step of the unpack and the repack."""
-    d = a - b
-    d *= t
-    s = a + b
-    s *= 0.5
-    s += d
-    return s
+@lru_cache(maxsize=32)
+def _first_form_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with Z'[k] = i*a[k]*Z[k] + b[k]*conj Z[n/2-k] for k < n/2.
+
+    Unpacking bins 0..n/2 of the spectrum from the packed transform Z
+    (X[k] = (A+B)/2 + t[k]*(A-B) with A = Z[k], B = conj Z[n/2-k]),
+    multiplying them by m = :func:`multiplier_bins` and repacking the
+    product with conj(t) are all linear in A and B, so the three passes
+    collapse into Z'[k] = alpha*A + beta*B.  With |t| = 1/2 the weights are
+    alpha = (m1+m2)/2 + (m1-m2)*Re t and beta = -i*(m1-m2)*Im t, where
+    m1 = m[k] and m2 = conj m[n/2-k].  The first-form multiplier i*sgn is
+    imaginary, so alpha = i*a is imaginary and beta = b real; with
+    sgn = 0 at DC and Nyquist they are a = -sin(2*pi*k/n) and
+    b = -cos(2*pi*k/n), exactly, with a[0] = b[0] = 0.
+    """
+    nh = n // 2
+    m = multiplier_bins(n)[: nh + 1]
+    if np.any(m.real):
+        raise InvariantBreach("the first-form multiplier is not imaginary")
+    lo, hi = m.imag[:nh], m.imag[nh:0:-1]  # m1 = i*lo, m2 = -i*hi
+    t = _pack_twiddles(n)[:nh]
+    a = 0.5 * (lo - hi) + (lo + hi) * t.real
+    b = (lo + hi) * t.imag
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
 def _packed_forward(x: np.ndarray) -> np.ndarray:
-    """Bins 0..N/2 of the DFT of real x (even N) from one length-N/2 DFT.
+    """Forward DFT of the packed sequence z[m] = x[2m] + i*x[2m+1] of real
+    x (even N), one length-N/2 transform; z is a view, not a copy."""
+    return dft_forward(_cached_plan(x.shape[0] // 2), x.view(np.complex128))
 
-    z[m] = x[2m] + i*x[2m+1] is a view, not a copy.  With Z its transform
-    and Z[N/2] := Z[0], X[k] = (Z[k] + conj Z[N/2-k])/2
-    - (i/2)*w^k*(Z[k] - conj Z[N/2-k]).
+
+def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Bins 0..N/2 of the length-N spectrum from the packed transform z.
+
+    With Z[N/2] := Z[0], X[k] = (Z[k] + conj Z[N/2-k])/2
+    - (i/2)*w^k*(Z[k] - conj Z[N/2-k]).  ``scratch`` has at least N/2 bins.
     """
-    nh = x.shape[0] // 2
-    z = dft_forward(_cached_plan(nh), x.view(np.complex128))
-    a = np.append(z, z[0])
-    return _butterfly(a, np.conj(a[::-1]), _pack_twiddles(2 * nh)[0])
-
-
-def _packed_inverse(y: np.ndarray) -> np.ndarray:
-    """Real length-N inverse of a Hermitian spectrum given on bins 0..N/2.
-
-    The repacked Z'[k] = (Y[k] + conj Y[N/2-k])/2
-    + (i/2)*conj(w)^k*(Y[k] - conj Y[N/2-k]) has the length-N/2 inverse
-    y[2m] + i*y[2m+1], so the output is real by construction.
-    """
-    nh = y.shape[0] - 1
-    zp = _butterfly(y[:nh], np.conj(y[nh:0:-1]), _pack_twiddles(2 * nh)[1])
-    return dft_inverse(_cached_plan(nh), zp).view(np.float64)
+    nh = z.shape[0]
+    t = _pack_twiddles(2 * nh)
+    b = scratch[:nh]
+    np.conjugate(z[:0:-1], out=b[1:])
+    b[0] = np.conj(z[0])
+    d = np.subtract(z, b, out=out[:nh])
+    d *= t[:nh]
+    b += z
+    b *= 0.5
+    d += b
+    out[nh] = z[0].real + t[nh] * (2j * z[0].imag)  # A = Z[0], B = conj Z[0]
 
 
 def _full_length(x: np.ndarray, branch=None) -> np.ndarray:
     """The complex pipeline: length-N forward, multiply, length-N inverse."""
     n = x.shape[0]
     p = _cached_plan(n)
-    return dft_inverse(p, dft_forward(p, x) * multiplier_bins(n, branch))
+    X = dft_forward(p, x)
+    X *= multiplier_bins(n, branch)
+    return dft_inverse(p, X)
+
+
+def _first_form_repack(Z: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = i*a[k]*Z[k] + b[k]*conj Z[N/2-k], the repacked first-form
+    product (:func:`_first_form_bins`), in six real passes; Z is overwritten."""
+    a, b = (w[1:] for w in _first_form_bins(2 * Z.shape[0]))
+    zr, zi = Z.real, Z.imag
+    re, im = out.real[1:], out.imag[1:]
+    np.multiply(b, zr[:0:-1], out=re)
+    np.multiply(a, zi[1:], out=im)
+    re -= im  # b*Re Z[N/2-k] - a*Im Z[k]
+    rev = zi[:0:-1]
+    np.multiply(rev, b, out=rev)  # in place: Im Z[k] has been read
+    np.multiply(a, zr[1:], out=im)
+    im -= rev  # a*Re Z[k] - b*Im Z[N/2-k]
+    out[0] = 0.0  # a[0] = b[0] = 0
 
 
 def _first_form(x: np.ndarray) -> np.ndarray:
-    """H x for real x: the packed path for even N, the complex one for odd."""
+    """H x for real x: the packed path for even N, the complex one for odd.
+
+    ``x`` is a scratch copy.  On the even path it holds the repacked
+    product, whose length-N/2 inverse is y[2m] + i*y[2m+1], so the output
+    is real by construction.
+    """
     n = x.shape[0]
     if n % 2 == 0:
-        return _packed_inverse(_packed_forward(x) * _half_multiplier(n, None))
+        zp = x.view(np.complex128)
+        _first_form_repack(_packed_forward(x), zp)
+        return dft_inverse(_cached_plan(n // 2), zp).view(np.float64)
     out = _full_length(x)
     peak = np.abs(x).max()
     residue = np.abs(out.imag).max()
@@ -241,11 +287,18 @@ def _first_form(x: np.ndarray) -> np.ndarray:
 
 
 def _halfband_plus(x: np.ndarray) -> np.ndarray:
-    """Plus-branch second form through the half-length inverse (even N)."""
+    """Plus-branch second form through the half-length inverse (even N).
+
+    ``x`` is a scratch copy whose memory the unpack reuses.
+    """
     n = x.shape[0]
-    spectrum = np.zeros(n, dtype=np.complex128)
-    spectrum[: n // 2 + 1] = _packed_forward(x) * _half_multiplier(n, Branch.PLUS)
-    return dft_inverse_halfband(_cached_plan(n // 2), spectrum)
+    nh = n // 2
+    spectrum = np.empty(n, dtype=np.complex128)
+    bins = spectrum[: nh + 1]
+    _unpack(_packed_forward(x), bins, x.view(np.complex128))
+    bins *= _plus_half_multiplier(n)
+    spectrum[nh + 1:] = 0.0
+    return dft_inverse_halfband(_cached_plan(nh), spectrum)
 
 
 def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
@@ -258,16 +311,21 @@ def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
     result whose peak would exceed the float64 range after scaling back
     raises :class:`~hxkit.errors.ResultOverflowError`.
     """
-    e = math.frexp(float(np.abs(x).max()))[1]
+    e = _peak_exponent(x)
     out = transform(np.ldexp(x, -e))
     parts = out.view(np.float64)
-    top = math.frexp(float(np.abs(parts).max()))[1] + e
+    top = _peak_exponent(parts) + e
     if top > sys.float_info.max_exp:
         raise ResultOverflowError(
             f"result peak is at least 2^{top - 1}, beyond the float64 range "
             f"(largest finite value {sys.float_info.max:.4g})"
         )
-    return np.ldexp(parts, e).view(out.dtype)
+    return np.ldexp(parts, e, out=parts).view(out.dtype)
+
+
+def _peak_exponent(a: np.ndarray) -> int:
+    """The binary exponent of max|a| for real a, without an |a| temporary."""
+    return math.frexp(max(float(a.max()), -float(a.min())))[1]
 
 
 def _require_real(f: Signal, op: str) -> np.ndarray:
@@ -318,8 +376,8 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
     if n % 2:
         return f.with_samples(_at_unit_scale(x, lambda v: _full_length(v, b)))
     z = np.empty(n, dtype=np.complex128)
-    z.real = -_at_unit_scale(x, _first_form)
-    z.imag = -b.sign * x
+    np.negative(_at_unit_scale(x, _first_form), out=z.real)
+    np.multiply(x, -b.sign, out=z.imag)
     return f.with_samples(z)
 
 
@@ -359,8 +417,11 @@ def hilbert_second_via_log_image(f: Signal, branch) -> Signal:
 
 def analytic_signal(f: Signal) -> Signal:
     """f - i*H{f}: real part is f, strictly negative frequency bins vanish."""
-    h = hilbert_first(f)
-    return f.with_samples(f.samples.real - 1j * h.samples)
+    h = hilbert_first(f).samples
+    z = np.empty(len(h), dtype=np.complex128)
+    z.real = f.samples.real
+    np.subtract(0.0, h, out=z.imag)
+    return f.with_samples(z)
 
 
 @dataclass(frozen=True)

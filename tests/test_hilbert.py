@@ -245,6 +245,13 @@ class TestHilbertSecond:
                 fast = hilbert_second(f, b, halfband=True).samples
                 assert np.abs(full - fast).max() < 1e-12 * np.abs(full).max()
 
+    def test_halfband_with_bluestein_half_plan_matches_oracle(self):
+        # 1009 is prime, so both half inverses run Bluestein in place
+        n = 2 * 1009
+        x = seeded(n, n)
+        got = hilbert_second(Signal(x), Branch.PLUS, halfband=True).samples
+        assert np.abs(got - spectral_oracle(x, Branch.PLUS)).max() <= 1e-13 * np.abs(x).max()
+
     def test_halfband_needs_even_length(self):
         with pytest.raises(InvalidSizeError):
             hilbert_second(Signal(seeded(0, 15)), Branch.PLUS, halfband=True)

@@ -69,6 +69,13 @@ class TestCoreSuite:
         assert "NOT matched" in check.line
         assert check.passed
 
+    def test_corollary_residual_is_a_cross_check(self, core):
+        # against the public H the even-n residual is 0 by construction
+        note = next(c for c in core.checks if c.name == "corollary_2_4").notes[0]
+        residual = float(note.split()[3])
+        assert 0.0 < residual < 1e-12
+        assert "full-length H2" in note
+
     def test_thresholds_recorded(self, core):
         for c in core.checks:
             assert c.measured >= 0.0
