@@ -80,7 +80,11 @@ class BenchConfig:
         if self.seed < 0:
             raise DomainError("seed must be unsigned")
         for p in powers:
-            if size_for_power(p) < 16:
+            try:
+                n = size_for_power(p)
+            except (OverflowError, ValueError):  # inf, nan, or 2**p beyond float64
+                raise DomainError(f"power {p} gives no finite size") from None
+            if n < 16:
                 raise InvalidSizeError(f"power {p} gives size < 16")
 
 

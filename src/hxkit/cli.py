@@ -4,8 +4,9 @@ Subcommands: ``transform`` and ``analytic`` move signals between files,
 ``bench`` times the two inverse pipelines, ``verify`` runs the identity
 suites, ``contour`` evaluates the closed-curve integrals for a chosen
 analytic function.  Exit codes are a stable contract: 0 success, 2
-usage/validation (including unreadable input), 3 malformed data, 4
-internal invariant breach; a verify run with failing checks exits 1.
+usage/validation (including unreadable input and a size too large to
+allocate), 3 malformed data, 4 internal invariant breach; a verify run
+with failing checks exits 1.
 
 Human-readable output goes to stdout and diagnostics to stderr; the only
 machine-read artifacts are the signal/report files themselves.  The
@@ -260,4 +261,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size too large to allocate is a usage error
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,23 +22,25 @@ at every bin and makes Im(H2{f}) = -/+ f exact.  A consequence worth noting:
 the fitted constant in H2 = -H + c*i*f comes out at c = -/+ 1, not -/+ 2;
 :func:`corollary_equivalence_report` measures and reports exactly this.
 
-One real-data pipeline.  Every public transform takes a real signal, and
-for even length N it runs one length-N/2 complex DFT in each direction
-(Sorensen, Jones, Heideman & Burrus 1987, "Real-valued FFT algorithms").
-The forward transform packs x[2m] + i*x[2m+1] without a copy.  Unpacking
-the length-N spectrum, multiplying it and repacking the product are linear
-in Z[k] and conj Z[N/2-k] of the packed transform Z, so for the first form
-they run as one O(N) pass with per-bin weights derived from
-:func:`multiplier_bins`; the length-N/2 inverse of the result, read as
-interleaved pairs, is the real output by construction.  The second form is
-then built as -H f -/+ i*f in one complex output, so its Re/Im identities
-hold bit for bit.  The half-band route unpacks bins 0..N/2, multiplies them
+One spectral pipeline.  Every public transform takes a real signal and
+computes H f; the second form is then built as -H f -/+ i*f in one complex
+output, so its Re/Im identities hold bit for bit at every length.  For even
+length N, H f runs one length-N/2 complex DFT in each direction (Sorensen,
+Jones, Heideman & Burrus 1987, "Real-valued FFT algorithms").  The forward
+transform packs x[2m] + i*x[2m+1] without a copy.  Unpacking the length-N
+spectrum, multiplying it and repacking the product are linear in Z[k] and
+conj Z[N/2-k] of the packed transform Z, so they run as one O(N) pass with
+per-bin weights derived from :func:`multiplier_bins`; the length-N/2
+inverse of the result, read as interleaved pairs, is the real output by
+construction.  The half-band route unpacks bins 0..N/2, multiplies them
 and hands them to :func:`hxkit.dft.dft_inverse_halfband`.  Scratch arrays
 are reused within a call, and the engine keeps its own per-thread
 workspace, so a warmed call allocates a few arrays of the output's size.
-Odd lengths keep the length-N complex pipeline, whose inverse leaves an
-imaginary rounding residue; only that path checks the residue and raises
-:class:`~hxkit.errors.InvariantBreach` if it exceeds 1e-12 of the peak.
+Odd lengths, the log-image route and the equivalence report run the one
+length-N forward -> multiply -> inverse pipeline with their multiplier
+table.  Its inverse leaves an imaginary rounding residue; the odd first
+form checks it and raises :class:`~hxkit.errors.InvariantBreach` if it
+exceeds 1e-12 of the peak.
 Before any of this the signal is scaled to a peak in [1/2, 1) by a power of
 two and the result scaled back.  That is exact, so ordinary input keeps
 the same bits, and finite input of any magnitude cannot overflow inside the
@@ -154,14 +156,19 @@ def multiplier_bins(n: int, branch=None) -> np.ndarray:
     return -1j * (sgn + _as_branch(branch).sign)
 
 
-def log_image(s: float, branch) -> complex:
-    """Frequency image of the log kernel, -(1/2)(1/|s| +/- 1/s); singular at 0."""
-    if s == 0:
+def log_image(s, branch):
+    """Frequency image of the log kernel, -(1/2)(1/|s| +/- 1/s); singular at 0.
+
+    A scalar s gives a ``complex``; an array of frequencies gives a complex
+    array of the same shape.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if np.any(s == 0):
         raise SingularFrequencyError(
             "log image is unbounded at s = 0; use the product-limit DC weight instead"
         )
-    b = _as_branch(branch)
-    return complex(-0.5 * (1.0 / abs(s) + b.sign / s))
+    img = (-0.5 * (1.0 / np.abs(s) + _as_branch(branch).sign / s)).astype(np.complex128)
+    return complex(img) if img.ndim == 0 else img
 
 
 @lru_cache(maxsize=32)
@@ -239,12 +246,11 @@ def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     out[nh] = z[0].real + t[nh] * (2j * z[0].imag)  # A = Z[0], B = conj Z[0]
 
 
-def _full_length(x: np.ndarray, branch=None) -> np.ndarray:
-    """The complex pipeline: length-N forward, multiply, length-N inverse."""
-    n = x.shape[0]
-    p = _cached_plan(n)
+def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The length-N pipeline: forward DFT, multiply by the table m, inverse."""
+    p = _cached_plan(x.shape[0])
     X = dft_forward(p, x)
-    X *= multiplier_bins(n, branch)
+    X *= m
     return dft_inverse(p, X)
 
 
@@ -276,7 +282,7 @@ def _first_form(x: np.ndarray) -> np.ndarray:
         zp = x.view(np.complex128)
         _first_form_repack(_packed_forward(x), zp)
         return dft_inverse(_cached_plan(n // 2), zp).view(np.float64)
-    out = _full_length(x)
+    out = _full_length(x, multiplier_bins(n))
     peak = np.abs(x).max()
     residue = np.abs(out.imag).max()
     if residue > 1e-12 * peak:
@@ -342,8 +348,8 @@ def hilbert_first(f: Signal) -> Signal:
     peak in [1/2, 1) by a power of two, which is exact.  Even lengths run
     one length-N/2 forward DFT of the packed real signal and one length-N/2
     inverse whose output is real by construction.  Odd lengths run the
-    length-N complex pipeline; the imaginary residue of its inverse is
-    checked against 1e-12*max|f| and truncated.
+    length-N pipeline; the imaginary residue of its inverse is checked
+    against 1e-12*max|f| and truncated.
     """
     x = _require_real(f, "hilbert_first")
     return f.with_samples(_at_unit_scale(x, _first_form))
@@ -352,11 +358,10 @@ def hilbert_first(f: Signal) -> Signal:
 def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
     """Second-form transform: multiplier -i*(sgn(s) +/- 1); complex output.
 
-    By multiplier algebra the output z satisfies Re z = -hilbert_first(f)
-    and Im z = -/+ f (plus/minus branch).  For even lengths z is built as
-    exactly that, from the packed first-form pipeline, so both identities
-    hold bit for bit.  Odd lengths run the length-N complex pipeline with
-    the second-form multiplier, where they hold to rounding.
+    The multiplier is -(i*sgn(s)) -/+ i, so the output z satisfies
+    Re z = -hilbert_first(f) and Im z = -/+ f (plus/minus branch).  z is
+    built as exactly that at every length, so both identities hold bit for
+    bit.
 
     With ``halfband=True`` the packed forward DFT gives the one-sided
     multiplied spectrum (plus branch) and the inverse stage runs at half
@@ -373,8 +378,6 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
             raise InvalidSizeError("halfband inverse needs an even signal length")
         z = _at_unit_scale(x, _halfband_plus)
         return f.with_samples(z if b is Branch.PLUS else np.conj(z))
-    if n % 2:
-        return f.with_samples(_at_unit_scale(x, lambda v: _full_length(v, b)))
     z = np.empty(n, dtype=np.complex128)
     np.negative(_at_unit_scale(x, _first_form), out=z.real)
     np.multiply(x, -b.sign, out=z.imag)
@@ -384,19 +387,14 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
 def _log_image_route(x: np.ndarray, b: Branch) -> np.ndarray:
     """The second form of real x through the three spectral factors."""
     n = len(x)
-    p = _cached_plan(n)
     s = bin_frequencies(n)
-    F = dft_forward(p, x)
-    out = np.empty(n, dtype=np.complex128)
     mask = s != 0.0
     if n % 2 == 0:
         mask[n // 2] = False
     sm = s[mask]
-    log_img = -0.5 * (1.0 / np.abs(sm) + b.sign / sm)
-    out[mask] = (1.0 / np.pi) * (2j * np.pi * sm) * log_img * F[mask]
-    limit = -1j * b.sign  # limit of the three-factor product as s -> 0
-    out[~mask] = limit * F[~mask]
-    return dft_inverse(p, out)
+    m = np.full(n, -1j * b.sign)  # limit of the three-factor product as s -> 0
+    m[mask] = (1.0 / np.pi) * (2j * np.pi * sm) * log_image(sm, b)
+    return _full_length(x, m)
 
 
 def hilbert_second_via_log_image(f: Signal, branch) -> Signal:
@@ -440,7 +438,9 @@ def corollary_equivalence_report(f: Signal, branch) -> EquivalenceReport:
     Fits the real scalar c minimizing ||H2 - (-H + c*i*f)||_2 and reports
     whether |c_fit| lands within 1e-3 of 2 (the claimed factor).  Multiplier
     algebra puts c at -/+ 1, so ``paper_consistent`` is expected false; the
-    report exists to surface that discrepancy, not to hide it.
+    report exists to surface that discrepancy, not to hide it.  H2 comes
+    from the length-N pipeline and H from :func:`hilbert_first`, so the
+    residual compares two pipelines.
     """
     b = _as_branch(branch)
     x = _require_real(f, "corollary_equivalence_report")
@@ -452,7 +452,8 @@ def corollary_equivalence_report(f: Signal, branch) -> EquivalenceReport:
     # products stay clear of underflow for tiny-amplitude inputs
     g = f.with_samples(x / peak)
     xs = g.samples
-    h2 = hilbert_second(g, b).samples
+    # the public H2 is built as -H f -/+ i*f, so its residual would read 0
+    h2 = _full_length(xs, multiplier_bins(len(xs), b))
     h1 = hilbert_first(g).samples
     r = h2 + h1  # what c*i*f must explain
     v = 1j * xs

@@ -1,10 +1,13 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hxkit.cli as cli
+from hxkit.bench import CSV_HEADER
 from hxkit.cli import main
 from hxkit.errors import DomainError, InvariantBreach
 
@@ -171,8 +174,19 @@ class TestBench:
                      "--out", str(tmp_path / "r.csv")]) == 2
 
     def test_invalid_power_list(self, capsys, tmp_path):
-        assert main(["bench", "--powers", "10,eleven",
-                     "--out", str(tmp_path / "r.csv")]) == 2
+        # inf and 1e6 have no finite size 2**power; validation rejects them
+        for powers in ("10,eleven", "inf", "1e6"):
+            assert main(["bench", "--powers", powers,
+                         "--out", str(tmp_path / "r.csv")]) == 2
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_memory_error_maps_to_2(self, capsys, monkeypatch, tmp_path):
+        def too_big(config):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+        monkeypatch.setattr(cli, "run_bench", too_big)
+        assert main(["bench", "--powers", "40", "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 8.00 TiB\n"
 
     def test_default_powers_pinned(self):
         assert cli._DEFAULT_POWERS == "10,12,12.5,18.5,20"
@@ -246,3 +260,25 @@ class TestModuleEntry:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "transform" in proc.stdout
+
+
+class TestScripts:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def run_script(self, name, args, cwd):
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        return subprocess.run([sys.executable, str(self.ROOT / "scripts" / name), *args],
+                              cwd=cwd, env=env, capture_output=True, text=True)
+
+    def test_run_bench_writes_default_report(self, tmp_path):
+        proc = self.run_script("run_bench.py", ["--powers", "5", "--trials", "2", "--warmup", "0"],
+                               tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        lines = (tmp_path / "bench_report.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 3
+
+    def test_run_verify_contour_suite(self, tmp_path):
+        proc = self.run_script("run_verify.py", ["--suite", "contour"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "suite contour: 7/7 checks passed" in proc.stdout

@@ -98,10 +98,18 @@ class TestMultiplierValues:
         assert log_image(-1.0, Branch.PLUS) == 0.0
         assert log_image(2.0, Branch.MINUS) == 0.0
         assert log_image(-2.0, Branch.MINUS) == -0.5
+        assert isinstance(log_image(0.25, Branch.PLUS), complex)
+        s = np.array([1.0, -1.0, 0.25, -0.375, 3.0])
+        for b in Branch:
+            got = log_image(s, b)
+            assert got.dtype == np.complex128 and got.shape == s.shape
+            assert np.array_equal(got, [log_image(float(v), b) for v in s])
 
     def test_log_image_singular_at_dc(self):
         with pytest.raises(SingularFrequencyError):
             log_image(0.0, Branch.PLUS)
+        with pytest.raises(SingularFrequencyError):
+            log_image(np.array([0.5, 0.0, -0.25]), Branch.MINUS)
 
     def test_bin_frequencies_even(self):
         got = bin_frequencies(8)
@@ -258,7 +266,10 @@ class TestHilbertSecond:
 
 
 class TestPackedPath:
-    """Even lengths run half-length transforms; the length-N pipeline is the oracle."""
+    """Even lengths run half-length transforms; the length-N pipeline is the oracle.
+
+    The second form is -H f -/+ i*f at every length, odd lengths included.
+    """
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10, 100, 1024, 5794, 100_000, 1 << 18])
     def test_matches_spectral_oracle(self, n):
@@ -271,7 +282,7 @@ class TestPackedPath:
             assert np.abs(hilbert_second(f, b).samples - spectral_oracle(x, b)).max() <= tol
         assert np.abs(analytic_signal(f).samples - (x - 1j * h)).max() <= tol
 
-    @pytest.mark.parametrize("n", [2, 6, 64, 100, 5794])
+    @pytest.mark.parametrize("n", [2, 3, 6, 63, 64, 100, 5793, 5794])
     def test_second_form_identities_are_bit_exact(self, n):
         x = seeded(n + 1, n)
         f = Signal(x)
