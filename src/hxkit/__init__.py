@@ -39,7 +39,6 @@ from .hilbert import (
 )
 from .quadrature import (
     GridFunction,
-    PVRule,
     grid_derivative,
     hilbert_first_pv_quadrature,
     hilbert_second_quadrature,

@@ -2,12 +2,14 @@
 
 The protocol times *only* the inverse transform: plans, forward spectra,
 and multiplier application are all precomputed outside the clocked region.
-The first form inverts the full-length i*sgn-multiplied spectrum; the
-second form inverts the one-sided spectrum through the half-length path
-(:func:`hxkit.dft.dft_inverse_halfband`).  After timing, every second-form
-output is checked against the full-length inverse of the same spectrum to
-at least 12 digits; a miss raises :class:`~hxkit.errors.InvariantBreach`
-rather than reporting a tainted speedup.
+Each power builds its test signal, the length-N plan, one forward spectrum
+and its two multiplied copies once.  The first form inverts the full-length
+i*sgn-multiplied spectrum; the second form inverts the one-sided spectrum
+through the half-length path (:func:`hxkit.dft.dft_inverse_halfband`).
+After timing, the output of the last timed second-form call is checked
+against the full-length inverse of the same spectrum to at least 12
+digits; a miss raises :class:`~hxkit.errors.InvariantBreach` rather than
+reporting a tainted speedup.
 
 Sizes come from ``size_for_power``: the nearest even integer to 2**power.
 Plain rounding of 2**power can land on an odd size (12.5 -> 5793), which
@@ -46,7 +48,6 @@ __all__ = [
     "run_bench",
     "size_for_power",
     "stats",
-    "time_inverse_stage",
     "timer_resolution_s",
     "write_csv",
 ]
@@ -116,42 +117,17 @@ def generate_test_signal(n: int, seed: int) -> Signal:
     return Signal(x)
 
 
-def _spectrum(form: str, n: int, seed: int) -> tuple:
-    """(plan, multiplied spectrum) of the test signal; plus branch for "second"."""
-    if form not in FORMS:
-        raise DataError(f"unknown form {form!r}")
-    if form == "second" and n % 2:
-        raise InvalidSizeError("the half-length inverse needs an even size")
-    x = generate_test_signal(n, seed).samples
-    p = plan(n)
-    branch = None if form == "first" else Branch.PLUS
-    return p, dft_forward(p, x) * multiplier_bins(n, branch)
-
-
-def _inverse_runner(form: str, n: int, seed: int) -> Callable[[], np.ndarray]:
-    """Precompute everything but the inverse; return the zero-arg timed call."""
-    p, spectrum = _spectrum(form, n, seed)
-    if form == "first":
-        return lambda: dft_inverse(p, spectrum)
-    p_half = plan(n // 2)
-    return lambda: dft_inverse_halfband(p_half, spectrum)
-
-
-def time_inverse_stage(form: str, n: int, trials: int, warmup: int, seed: int) -> list:
-    """Per-trial inverse-stage durations in seconds, warmup runs discarded."""
-    if trials < 2:
-        raise InsufficientDataError("need trials >= 2 for a standard deviation")
-    if warmup < 0:
-        raise DomainError(f"warmup must be nonnegative, got {warmup}")
-    run = _inverse_runner(form, n, seed)
+def _durations(call: Callable[[], np.ndarray], trials: int, warmup: int) -> tuple:
+    """(per-trial durations of ``call()`` in seconds, output of the last
+    timed call); warmup runs are discarded."""
     for _ in range(warmup):
-        run()
+        call()
     out = []
     for _ in range(trials):
         t0 = time.perf_counter_ns()
-        run()
+        last = call()
         out.append((time.perf_counter_ns() - t0) * 1e-9)
-    return out
+    return out, last
 
 
 def stats(durations: Sequence[float]) -> tuple:
@@ -176,16 +152,47 @@ def timer_resolution_s() -> float:
     return float(time.get_clock_info("perf_counter").resolution)
 
 
-def _check_halfband_agreement(n: int, seed: int) -> None:
-    # correctness gate: the timed fast path must match the full-length inverse
-    p, spectrum = _spectrum("second", n, seed)
-    fast = dft_inverse_halfband(plan(n // 2), spectrum)
-    full = dft_inverse(p, spectrum)
+def _power_records(power: float, config: BenchConfig, resolution: float) -> list:
+    """Time both forms at one power and gate the last half-length output.
+
+    Everything built here dies on return, and the length-N plan and the
+    first-form spectrum are released before the half-length plan is built,
+    which keeps the peak memory of a run at that of its largest power.
+    """
+    n = size_for_power(power)
+    p = plan(n)
+    second = dft_forward(p, generate_test_signal(n, config.seed).samples)
+    first = second * multiplier_bins(n)
+    second *= multiplier_bins(n, Branch.PLUS)
+    first_s = _durations(lambda: dft_inverse(p, first), config.trials, config.warmup)[0]
+    full = dft_inverse(p, second)
+    del p, first
+    p_half = plan(n // 2)
+    second_s, fast = _durations(
+        lambda: dft_inverse_halfband(p_half, second), config.trials, config.warmup
+    )
+    # correctness gate on the output of the last timed call
     digits = infinity_norm_log10(fast, full)
     if digits < 12.0:
         raise InvariantBreach(
             f"half-length inverse agrees with full inverse to only {digits:.2f} digits at n={n}"
         )
+    first_mean = stats(first_s)[0]
+    records = []
+    for form, durations in zip(FORMS, (first_s, second_s)):
+        mean_s, stddev_s = stats(durations)
+        records.append(
+            BenchRecord(
+                form=form,
+                power=power,
+                trials=config.trials,
+                mean_ms=mean_s * 1e3,
+                stddev_ms=stddev_s * 1e3,
+                percent_increase=None if form == "first" else percent_increase(first_mean, mean_s),
+                resolution_warning=resolution > 0.01 * mean_s,
+            )
+        )
+    return records
 
 
 def run_bench(config: BenchConfig) -> list:
@@ -193,28 +200,7 @@ def run_bench(config: BenchConfig) -> list:
     resolution = timer_resolution_s()
     records = []
     for power in sorted(config.powers):
-        n = size_for_power(power)
-        _check_halfband_agreement(n, config.seed)
-        baseline_mean = None
-        for form in FORMS:
-            durations = time_inverse_stage(form, n, config.trials, config.warmup, config.seed)
-            mean_s, stddev_s = stats(durations)
-            pct = None
-            if form == "first":
-                baseline_mean = mean_s
-            else:
-                pct = percent_increase(baseline_mean, mean_s)
-            records.append(
-                BenchRecord(
-                    form=form,
-                    power=power,
-                    trials=config.trials,
-                    mean_ms=mean_s * 1e3,
-                    stddev_ms=stddev_s * 1e3,
-                    percent_increase=pct,
-                    resolution_warning=resolution > 0.01 * mean_s,
-                )
-            )
+        records += _power_records(power, config, resolution)
     return records
 
 

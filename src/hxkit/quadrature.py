@@ -37,7 +37,6 @@ from .hilbert import Branch, _as_branch
 
 __all__ = [
     "GridFunction",
-    "PVRule",
     "pv_symmetric_demo",
     "grid_derivative",
     "hilbert_first_pv_quadrature",
@@ -91,17 +90,6 @@ class GridFunction:
     def spacing(self) -> float:
         """Mean node spacing; only meaningful when ``uniform`` is true."""
         return float((self.nodes[-1] - self.nodes[0]) / (len(self) - 1))
-
-
-@dataclass(frozen=True)
-class PVRule:
-    """Symmetric exclusion of whole grid cells around the singular node."""
-
-    exclusion_cells: int = 1
-
-    def __post_init__(self):
-        if self.exclusion_cells < 1 or self.exclusion_cells != int(self.exclusion_cells):
-            raise DomainError("exclusion half-width must be a positive whole number of cells")
 
 
 def pv_symmetric_demo(a: float, b: float, eps: float) -> float:
@@ -174,19 +162,19 @@ def grid_derivative(values, h: float):
 
 
 def hilbert_first_pv_quadrature(
-    f: GridFunction, x_eval=None, rule: PVRule = PVRule(), enforce_decay: bool = True
+    f: GridFunction, x_eval=None, enforce_decay: bool = True
 ) -> GridFunction:
     """Principal-value quadrature of -(1/pi) * integral f(x')/(x - x') dx'.
 
-    At each evaluation node the singular cell band |x' - x| < eps is skipped;
-    eps is a whole number of grid spacings, so the exclusion is symmetric
-    about the node and the odd kernel cancels in pairs.  Trapezoid endpoint
-    weights.  The excluded band is then restored analytically: its principal
-    value is -(2*eps - h)*f'(x) + O(h^3), nonzero for asymmetric f, and
-    leaving it out would cap the rule at first order.  ``enforce_decay=False``
-    skips the endpoint-decay check for deliberate experiments with
-    non-decaying inputs (the truncated integral then carries an O(1)
-    domain-boundary term; see pv_symmetric_demo).
+    At each evaluation node the band |x' - x| < h, which holds only the
+    singular node, is skipped; the exclusion is symmetric about the node, so
+    the odd kernel cancels in pairs.  Trapezoid endpoint weights.  The
+    excluded band is then restored analytically: its principal value is
+    -h*f'(x) + O(h^3), nonzero for asymmetric f, and leaving it out would
+    cap the rule at first order.  ``enforce_decay=False`` skips the
+    endpoint-decay check for deliberate experiments with non-decaying inputs
+    (the truncated integral then carries an O(1) domain-boundary term; see
+    pv_symmetric_demo).
     """
     h = _require_uniform(f)
     if enforce_decay:
@@ -194,16 +182,12 @@ def hilbert_first_pv_quadrature(
     idx = _eval_indices(f, x_eval)
     w = _trapezoid_weights(len(f)) * f.values
     deriv = grid_derivative(f.values, h)
-    band = 2 * rule.exclusion_cells - 1  # excluded width in units of h
     out = np.empty(idx.shape[0], dtype=np.result_type(f.values.dtype, np.float64))
     for row, j in enumerate(idx):
-        d = f.nodes[j] - f.nodes
-        lo = max(0, j - (rule.exclusion_cells - 1))
-        hi = min(len(f), j + rule.exclusion_cells)
         with np.errstate(divide="ignore"):
-            k = 1.0 / d
-        k[lo:hi] = 0.0
-        out[row] = -(h / math.pi) * np.dot(w, k) + (band * h / math.pi) * deriv[j]
+            k = 1.0 / (f.nodes[j] - f.nodes)
+        k[j] = 0.0
+        out[row] = -(h / math.pi) * np.dot(w, k) + (h / math.pi) * deriv[j]
     return GridFunction(f.nodes[idx], out)
 
 

@@ -1,7 +1,8 @@
 """Signal file I/O: csv and raw little-endian float64.
 
-csv inputs are one value per line (assumed grid dx=1, x0=0) or `x,value`
-pairs whose abscissae must be uniform to 1e-9 relative; outputs are one
+csv inputs are ASCII, one value per line (assumed grid dx=1, x0=0) or
+`x,value` pairs whose abscissae must be uniform to 1e-9 relative; a
+non-ASCII byte is a DataError naming its offset.  Outputs are one
 real column, or `re,im` columns for complex results.  Floats are written
 with ``repr``, the shortest digit string that parses back to the same
 double, so a write/read/write cycle is byte-identical.
@@ -37,9 +38,15 @@ def infer_format(path, override=None) -> str:
 
 
 def _parse_csv_rows(path) -> np.ndarray:
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
     rows = []
     width = None
-    for num, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    for num, line in enumerate(lines, 1):
         text = line.strip()
         if not text:
             continue

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hxkit.bench
+from hxkit import cli
 from hxkit.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -15,7 +17,6 @@ from hxkit.bench import (
     run_bench,
     size_for_power,
     stats,
-    time_inverse_stage,
     write_csv,
 )
 from hxkit.dft import dft_forward, dft_inverse, dft_inverse_halfband, plan
@@ -24,6 +25,7 @@ from hxkit.errors import (
     DomainError,
     InsufficientDataError,
     InvalidSizeError,
+    InvariantBreach,
 )
 from hxkit.hilbert import Branch, infinity_norm_log10, multiplier_bins
 
@@ -123,40 +125,14 @@ class TestPercentIncrease:
         assert (percent_increase(a, b) > 0) == (percent_increase(b, a) < 0)
 
 
-class TestTimeInverseStage:
-    def test_duration_shape(self):
-        durations = time_inverse_stage("first", 64, 5, 1, 42)
-        assert len(durations) == 5
-        assert all(d >= 0 and math.isfinite(d) for d in durations)
-
-    def test_second_form_runs(self):
-        durations = time_inverse_stage("second", 64, 3, 0, 42)
-        assert len(durations) == 3
-
-    def test_halfband_output_matches_full_inverse(self):
-        n = 1024
-        x = generate_test_signal(n, 42).samples
-        p = plan(n)
-        spectrum = dft_forward(p, x) * multiplier_bins(n, Branch.PLUS)
-        fast = dft_inverse_halfband(plan(n // 2), spectrum)
-        full = dft_inverse(p, spectrum)
-        assert infinity_norm_log10(fast, full) >= 12.0
-
-    def test_bad_form(self):
-        with pytest.raises(DataError):
-            time_inverse_stage("third", 64, 3, 0, 42)
-
-    def test_too_few_trials(self):
-        with pytest.raises(InsufficientDataError):
-            time_inverse_stage("first", 64, 1, 0, 42)
-
-    def test_negative_warmup(self):
-        with pytest.raises(DomainError):
-            time_inverse_stage("first", 64, 3, -1, 42)
-
-    def test_second_form_needs_even_size(self):
-        with pytest.raises(InvalidSizeError):
-            time_inverse_stage("second", 63, 3, 0, 42)
+def test_halfband_output_matches_full_inverse():
+    n = 1024
+    x = generate_test_signal(n, 42).samples
+    p = plan(n)
+    spectrum = dft_forward(p, x) * multiplier_bins(n, Branch.PLUS)
+    fast = dft_inverse_halfband(plan(n // 2), spectrum)
+    full = dft_inverse(p, spectrum)
+    assert infinity_norm_log10(fast, full) >= 12.0
 
 
 class TestBenchConfig:
@@ -176,6 +152,10 @@ class TestBenchConfig:
     def test_empty_powers(self):
         with pytest.raises(DataError):
             BenchConfig(powers=())
+
+    def test_negative_warmup(self):
+        with pytest.raises(DomainError):
+            BenchConfig(powers=(10,), warmup=-1)
 
 
 class TestBenchRecord:
@@ -205,6 +185,65 @@ class TestRunBench:
         assert [(r.power, r.form) for r in records] == [
             (6.0, "first"), (6.0, "second"), (7.0, "first"), (7.0, "second"),
         ]
+
+    def test_each_plan_and_forward_once_per_power(self, monkeypatch):
+        plans, forwards = [], []
+
+        def counted_plan(n):
+            plans.append(n)
+            return plan(n)
+
+        def counted_forward(p, x):
+            forwards.append(p.size)
+            return dft_forward(p, x)
+
+        monkeypatch.setattr(hxkit.bench, "plan", counted_plan)
+        monkeypatch.setattr(hxkit.bench, "dft_forward", counted_forward)
+        run_bench(BenchConfig(powers=(6, 7), trials=2, warmup=0))
+        assert plans == [64, 32, 128, 64]
+        assert forwards == [64, 128]
+
+    def test_timed_calls_per_form(self, monkeypatch):
+        # warmups then trials of the full inverse, one reference inverse for
+        # the gate, then warmups then trials of the half-length inverse
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(hxkit.bench, "dft_inverse", counted("full", dft_inverse))
+        monkeypatch.setattr(hxkit.bench, "dft_inverse_halfband",
+                            counted("half", dft_inverse_halfband))
+        records = run_bench(BenchConfig(powers=(6,), trials=3, warmup=2))
+        assert calls == ["full"] * 6 + ["half"] * 5
+        assert [r.trials for r in records] == [3, 3]
+
+    def test_gate_checks_timed_output(self, monkeypatch):
+        timed = []
+
+        def perturbed(p_half, spectrum):
+            timed.append(None)
+            out = dft_inverse_halfband(p_half, spectrum)
+            if len(timed) == 4:  # the last timed call of warmup=1, trials=3
+                out[0] += 1e-9
+            return out
+
+        monkeypatch.setattr(hxkit.bench, "dft_inverse_halfband", perturbed)
+        with pytest.raises(InvariantBreach):
+            run_bench(BenchConfig(powers=(6,), trials=3, warmup=1))
+
+    def test_gate_trip_exits_4(self, monkeypatch, tmp_path, capsys):
+        def perturbed(p_half, spectrum):
+            return dft_inverse_halfband(p_half, spectrum) + 1e-6
+
+        monkeypatch.setattr(hxkit.bench, "dft_inverse_halfband", perturbed)
+        out = tmp_path / "r.csv"
+        assert cli.main(["bench", "--powers", "5", "--trials", "2", "--out", str(out)]) == 4
+        assert "invariant breach" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_statistics_sane(self):
         records = run_bench(BenchConfig(powers=(8,), trials=6, warmup=2))

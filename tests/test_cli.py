@@ -40,6 +40,14 @@ class TestExitCodeMapping:
                      "--out", str(tmp_path / "o.csv"), "--form", "first"])
         assert code == 3
 
+    def test_non_ascii_csv(self, capsys, tmp_path):
+        bad = tmp_path / "bom.csv"
+        bad.write_bytes(b"\xef\xbb\xbf1.0\n2.0\n3.0\n")
+        code = main(["transform", "--in", str(bad),
+                     "--out", str(tmp_path / "o.csv"), "--form", "first"])
+        assert code == 3
+        assert "offset 0" in capsys.readouterr().err
+
     def test_empty_file(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -17,7 +17,6 @@ from hxkit.errors import (
 from hxkit.hilbert import Branch, Signal, hilbert_first, hilbert_second
 from hxkit.quadrature import (
     GridFunction,
-    PVRule,
     grid_derivative,
     hilbert_first_pv_quadrature,
     hilbert_second_quadrature,
@@ -83,20 +82,6 @@ class TestGridFunction:
         assert g.spacing == 1.0
 
 
-class TestPVRule:
-    def test_defaults(self):
-        r = PVRule()
-        assert r.exclusion_cells == 1
-
-    def test_rejects_zero_width(self):
-        with pytest.raises(DomainError):
-            PVRule(exclusion_cells=0)
-
-    def test_rejects_fractional_width(self):
-        with pytest.raises(DomainError):
-            PVRule(exclusion_cells=1.5)
-
-
 class TestPVQuadrature:
     def test_gaussian_matches_dawson_closed_form(self):
         g = gauss_grid(4096)
@@ -146,11 +131,6 @@ class TestPVQuadrature:
             errs.append(np.abs(got - want).max())
         assert errs[0] / errs[1] >= 3.0
         assert errs[1] / errs[2] >= 3.0
-
-    def test_wider_exclusion_band(self):
-        got = hilbert_first_pv_quadrature(gauss_grid(2048), PROBES, PVRule(2)).values
-        want = np.array([line_hilbert_gaussian(x) for x in PROBES])
-        assert np.abs(got - want).max() < 1e-5
 
     def test_gap_to_spectral_is_periodization(self):
         """The circular transform and the truncated-line quadrature disagree

@@ -92,6 +92,12 @@ class TestCsvRead:
         with pytest.raises(DataError):
             read_signal(p, "csv")
 
+    def test_byte_order_mark_rejected(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"\xef\xbb\xbf1.0\n2.0\n")
+        with pytest.raises(DataError, match="0xef at offset 0"):
+            read_signal(p, "csv")
+
 
 class TestF64le:
     def test_bit_exact_round_trip(self, tmp_path):
