@@ -14,6 +14,7 @@ from hxkit.bench import (
     csv_rows,
     generate_test_signal,
     percent_increase,
+    _durations,
     run_bench,
     size_for_power,
     stats,
@@ -135,6 +136,20 @@ def test_halfband_output_matches_full_inverse():
     assert infinity_norm_log10(fast, full) >= 12.0
 
 
+class TestDurations:
+    def test_duration_shape(self):
+        calls = []
+
+        def call():
+            calls.append(None)
+            return len(calls)
+
+        durations, last = _durations(call, 5, 1)
+        assert len(durations) == 5
+        assert all(d >= 0 and math.isfinite(d) for d in durations)
+        assert len(calls) == 6 and last == 6  # warmup discarded, last timed output kept
+
+
 class TestBenchConfig:
     def test_defaults(self):
         cfg = BenchConfig(powers=(10,))
@@ -156,6 +171,12 @@ class TestBenchConfig:
     def test_negative_warmup(self):
         with pytest.raises(DomainError):
             BenchConfig(powers=(10,), warmup=-1)
+
+    def test_too_few_trials(self):
+        for trials in (-3, 0, 1):
+            with pytest.raises(InsufficientDataError):
+                BenchConfig(powers=(10,), trials=trials)
+        assert BenchConfig(powers=(10,), trials=2).trials == 2
 
 
 class TestBenchRecord:
@@ -220,6 +241,15 @@ class TestRunBench:
         records = run_bench(BenchConfig(powers=(6,), trials=3, warmup=2))
         assert calls == ["full"] * 6 + ["half"] * 5
         assert [r.trials for r in records] == [3, 3]
+
+    def test_second_form_runs(self):
+        # 12.5 -> n = 5792: the half-length inverse runs at 2896 = 16 * 181,
+        # which is not 5-smooth
+        first, second = run_bench(BenchConfig(powers=(12.5,), trials=3, warmup=0))
+        assert size_for_power(12.5) == 5792
+        assert second.form == "second" and second.trials == 3
+        assert math.isfinite(second.percent_increase)
+        assert second.mean_ms > 0
 
     def test_gate_checks_timed_output(self, monkeypatch):
         timed = []
