@@ -2,10 +2,11 @@
 
 The protocol times *only* the inverse transform: plans, forward spectra,
 and multiplier application are all precomputed outside the clocked region.
-Each power builds its test signal, the length-N plan, one forward spectrum
-and its two multiplied copies once.  The first form inverts the full-length
-i*sgn-multiplied spectrum; the second form inverts the one-sided spectrum
-through the half-length path (:func:`hxkit.dft.dft_inverse_halfband`).
+Each power builds its test signal, the length-N and N/2 plans, one forward
+spectrum and its two multiplied copies once.  The first form inverts the
+full-length i*sgn-multiplied spectrum; the second form inverts the
+one-sided spectrum through the half-length path
+(:func:`hxkit.dft.dft_inverse_halfband`).
 After timing, the output of the last timed second-form call is checked
 against the full-length inverse of the same spectrum to at least 12
 digits; a miss raises :class:`~hxkit.errors.InvariantBreach` rather than
@@ -15,8 +16,10 @@ Sizes come from ``size_for_power``: the nearest even integer to 2**power.
 Plain rounding of 2**power can land on an odd size (12.5 -> 5793), which
 the half-length inverse cannot split, so we round the half size instead.
 
-Timed regions run sequentially on one thread.  Raw mean and sample
-standard deviation are reported without outlier rejection.
+Timed regions run sequentially on one thread, one call of each form per
+trial with both plans built, so drift in the host's speed moves both
+means alike.  Raw mean and sample standard deviation are reported
+without outlier rejection.
 """
 
 from __future__ import annotations
@@ -117,16 +120,18 @@ def generate_test_signal(n: int, seed: int) -> Signal:
     return Signal(x)
 
 
-def _durations(call: Callable[[], np.ndarray], trials: int, warmup: int) -> tuple:
-    """(per-trial durations of ``call()`` in seconds, output of the last
-    timed call); warmup runs are discarded."""
+def _durations(calls: Sequence[Callable[[], np.ndarray]], trials: int, warmup: int) -> tuple:
+    """(per-trial durations in seconds of each of ``calls``, output of the
+    last call); a trial runs the calls in turn, after discarded warmups."""
     for _ in range(warmup):
-        call()
-    out = []
+        for call in calls:
+            call()
+    out = [[] for _ in calls]
     for _ in range(trials):
-        t0 = time.perf_counter_ns()
-        last = call()
-        out.append((time.perf_counter_ns() - t0) * 1e-9)
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter_ns()
+            last = call()
+            out[i].append((time.perf_counter_ns() - t0) * 1e-9)
     return out, last
 
 
@@ -155,24 +160,18 @@ def timer_resolution_s() -> float:
 def _power_records(power: float, config: BenchConfig, resolution: float) -> list:
     """Time both forms at one power and gate the last half-length output.
 
-    Everything built here dies on return, and the length-N plan and the
-    first-form spectrum are released before the half-length plan is built,
-    which keeps the peak memory of a run at that of its largest power.
+    Everything built here dies on return, which keeps the peak memory of a
+    run at that of its largest power.
     """
     n = size_for_power(power)
-    p = plan(n)
+    p, p_half = plan(n), plan(n // 2)
     second = dft_forward(p, generate_test_signal(n, config.seed).samples)
     first = second * multiplier_bins(n)
     second *= multiplier_bins(n, Branch.PLUS)
-    first_s = _durations(lambda: dft_inverse(p, first), config.trials, config.warmup)[0]
-    full = dft_inverse(p, second)
-    del p, first
-    p_half = plan(n // 2)
-    second_s, fast = _durations(
-        lambda: dft_inverse_halfband(p_half, second), config.trials, config.warmup
-    )
+    calls = (lambda: dft_inverse(p, first), lambda: dft_inverse_halfband(p_half, second))
+    (first_s, second_s), fast = _durations(calls, config.trials, config.warmup)
     # correctness gate on the output of the last timed call
-    digits = infinity_norm_log10(fast, full)
+    digits = infinity_norm_log10(fast, dft_inverse(p, second))
     if digits < 12.0:
         raise InvariantBreach(
             f"half-length inverse agrees with full inverse to only {digits:.2f} digits at n={n}"

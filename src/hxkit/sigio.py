@@ -2,10 +2,12 @@
 
 csv inputs are ASCII, one value per line (assumed grid dx=1, x0=0) or
 `x,value` pairs whose abscissae must be uniform to 1e-9 relative; a
-non-ASCII byte is a DataError naming its offset.  Outputs are one
-real column, or `re,im` columns for complex results.  Floats are written
-with ``repr``, the shortest digit string that parses back to the same
-double, so a write/read/write cycle is byte-identical.
+non-ASCII byte is a DataError naming its offset.  A field is what Python's
+``float`` parses (``1_000`` too), ``#`` starts no comment, and blank or
+whitespace-only lines are skipped.  Outputs are one real column, or `re,im`
+columns for complex results.  Floats are written with ``repr``, the
+shortest digit string that parses back to the same double, so a
+write/read/write cycle is byte-identical.
 
 f64le files are headerless raw little-endian IEEE-754 doubles.  Complex
 values are stored as interleaved re,im pairs, matching the csv column
@@ -14,6 +16,8 @@ order, so a complex file holds 2n doubles.
 
 from __future__ import annotations
 
+import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,20 +41,15 @@ def infer_format(path, override=None) -> str:
     return fmt
 
 
-def _parse_csv_rows(path) -> np.ndarray:
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
-        ) from None
+def _parse_csv_lines(path, text: str) -> np.ndarray:
+    """The csv grammar: rows are ``splitlines`` lines, fields parse by ``float``."""
     rows = []
     width = None
-    for num, line in enumerate(lines, 1):
-        text = line.strip()
-        if not text:
+    for num, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
             continue
-        fields = [f.strip() for f in text.split(",")]
+        fields = [f.strip() for f in line.split(",")]
         try:
             values = [float(f) for f in fields]
         except ValueError:
@@ -62,7 +61,33 @@ def _parse_csv_rows(path) -> np.ndarray:
         rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    out = np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _loadtxt_rows(text: str) -> np.ndarray | None:
+    """:func:`_parse_csv_lines`'s rows parsed in C, or None where numpy's reader
+    rejects the text or would not break lines at \\v, \\f or \\x1c-\\x1e."""
+    if any(sep in text for sep in "\v\f\x1c\x1d\x1e"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # no data rows
+            return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2,
+                              comments=None, dtype=np.float64)
+    except (ValueError, UserWarning):
+        return None
+
+
+def _parse_csv_rows(path) -> np.ndarray:
+    try:
+        text = Path(path).read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    out = _loadtxt_rows(text)
+    if out is None:
+        out = _parse_csv_lines(path, text)
     if not np.all(np.isfinite(out)):
         raise DataError(f"{path}: non-finite value")
     return out
@@ -105,10 +130,6 @@ def read_signal(path, fmt: str = "csv") -> Signal:
     raise DataError(f"{path}: expected 1 or 2 csv columns, got {table.shape[1]}")
 
 
-def _shortest(x: float) -> str:
-    return repr(float(x))
-
-
 def write_values(path, fmt: str, values) -> None:
     """Write a result vector: real -> one column, complex -> re,im columns."""
     if fmt not in FORMATS:
@@ -128,8 +149,7 @@ def write_values(path, fmt: str, values) -> None:
     if fmt == "f64le":
         Path(path).write_bytes(flat.astype("<f8").tobytes())
         return
+    lines = list(map(repr, flat.ravel().tolist()))
     if is_complex:
-        lines = [f"{_shortest(re)},{_shortest(im)}" for re, im in flat]
-    else:
-        lines = [_shortest(x) for x in flat]
+        lines = map(",".join, zip(lines[0::2], lines[1::2]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -140,14 +140,17 @@ class TestDurations:
     def test_duration_shape(self):
         calls = []
 
-        def call():
-            calls.append(None)
-            return len(calls)
+        def counted(name):
+            def call():
+                calls.append(name)
+                return len(calls)
+            return call
 
-        durations, last = _durations(call, 5, 1)
-        assert len(durations) == 5
-        assert all(d >= 0 and math.isfinite(d) for d in durations)
-        assert len(calls) == 6 and last == 6  # warmup discarded, last timed output kept
+        durations, last = _durations((counted("a"), counted("b")), 5, 1)
+        assert [len(d) for d in durations] == [5, 5]
+        assert all(d >= 0 and math.isfinite(d) for ds in durations for d in ds)
+        # rounds alternate the calls; warmup discarded, last timed output kept
+        assert calls == ["a", "b"] * 6 and last == 12
 
 
 class TestBenchConfig:
@@ -225,8 +228,8 @@ class TestRunBench:
         assert forwards == [64, 128]
 
     def test_timed_calls_per_form(self, monkeypatch):
-        # warmups then trials of the full inverse, one reference inverse for
-        # the gate, then warmups then trials of the half-length inverse
+        # warmups then trials, each a full and then a half-length inverse,
+        # then one reference inverse for the gate
         calls = []
 
         def counted(name, fn):
@@ -239,7 +242,7 @@ class TestRunBench:
         monkeypatch.setattr(hxkit.bench, "dft_inverse_halfband",
                             counted("half", dft_inverse_halfband))
         records = run_bench(BenchConfig(powers=(6,), trials=3, warmup=2))
-        assert calls == ["full"] * 6 + ["half"] * 5
+        assert calls == ["full", "half"] * 5 + ["full"]
         assert [r.trials for r in records] == [3, 3]
 
     def test_second_form_runs(self):
