@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: validation problems (every ValueError
 subclass here but DataError, including a result beyond the float64 range)
 exit 2, malformed or non-finite data (DataError) exits 3, and a breached
-internal invariant exits 4.
+internal invariant exits 4.  The half-length inverse takes bins 0..N/2
+only, so a full-length spectrum handed to it is a SizeMismatchError.
 """
 
 
@@ -13,10 +14,6 @@ class InvalidSizeError(ValueError):
 
 class SizeMismatchError(ValueError):
     """Two sequences (or a plan and a sequence) disagree in length."""
-
-
-class NotOneSidedError(ValueError):
-    """A spectrum handed to the halfband inverse has energy above Nyquist."""
 
 
 class SingularFrequencyError(ValueError):

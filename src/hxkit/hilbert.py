@@ -33,7 +33,8 @@ conj Z[N/2-k] of the packed transform Z, so they run as one O(N) pass with
 per-bin weights derived from :func:`multiplier_bins`; the length-N/2
 inverse of the result, read as interleaved pairs, is the real output by
 construction.  The half-band route unpacks bins 0..N/2, multiplies them
-and hands them to :func:`hxkit.dft.dft_inverse_halfband`.  Scratch arrays
+and hands just those N/2+1 bins to :func:`hxkit.dft.dft_inverse_halfband`;
+the bins above Nyquist are zero and are never built.  Scratch arrays
 are reused within a call, and the engine keeps its own per-thread
 workspace, so a warmed call allocates a few arrays of the output's size.
 Odd lengths, the log-image route and the equivalence report run the one
@@ -283,8 +284,8 @@ def _first_form(x: np.ndarray) -> np.ndarray:
         _first_form_repack(_packed_forward(x), zp)
         return dft_inverse(_cached_plan(n // 2), zp).view(np.float64)
     out = _full_length(x, multiplier_bins(n))
-    peak = np.abs(x).max()
-    residue = np.abs(out.imag).max()
+    peak = _peak(x)
+    residue = _peak(out.imag)
     if residue > 1e-12 * peak:
         raise InvariantBreach(
             f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {peak:.3e}"
@@ -298,13 +299,10 @@ def _halfband_plus(x: np.ndarray) -> np.ndarray:
     ``x`` is a scratch copy whose memory the unpack reuses.
     """
     n = x.shape[0]
-    nh = n // 2
-    spectrum = np.empty(n, dtype=np.complex128)
-    bins = spectrum[: nh + 1]
+    bins = np.empty(n // 2 + 1, dtype=np.complex128)
     _unpack(_packed_forward(x), bins, x.view(np.complex128))
     bins *= _plus_half_multiplier(n)
-    spectrum[nh + 1:] = 0.0
-    return dft_inverse_halfband(_cached_plan(nh), spectrum)
+    return dft_inverse_halfband(_cached_plan(n // 2), bins)
 
 
 def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
@@ -329,14 +327,19 @@ def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
     return np.ldexp(parts, e, out=parts).view(out.dtype)
 
 
+def _peak(a: np.ndarray) -> float:
+    """max|a| for real a, without an |a| temporary."""
+    return max(float(a.max()), -float(a.min()))
+
+
 def _peak_exponent(a: np.ndarray) -> int:
-    """The binary exponent of max|a| for real a, without an |a| temporary."""
-    return math.frexp(max(float(a.max()), -float(a.min())))[1]
+    """The binary exponent of max|a| for real a."""
+    return math.frexp(_peak(a))[1]
 
 
 def _require_real(f: Signal, op: str) -> np.ndarray:
     x = f.samples
-    if np.iscomplexobj(x) and np.abs(x.imag).max() > 0:
+    if np.iscomplexobj(x) and x.imag.any():
         raise DataError(f"{op} expects a real-valued signal")
     return x.real.astype(np.float64, copy=False)
 
@@ -444,7 +447,7 @@ def corollary_equivalence_report(f: Signal, branch) -> EquivalenceReport:
     """
     b = _as_branch(branch)
     x = _require_real(f, "corollary_equivalence_report")
-    peak = float(np.abs(x).max())
+    peak = _peak(x)
     # l2 norm via peak scaling: squaring tiny samples directly would underflow
     if peak == 0.0 or peak * float(np.linalg.norm(x / peak)) < 1e-300:
         raise DegenerateFitError("cannot fit against a zero signal")

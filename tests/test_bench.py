@@ -131,7 +131,7 @@ def test_halfband_output_matches_full_inverse():
     x = generate_test_signal(n, 42).samples
     p = plan(n)
     spectrum = dft_forward(p, x) * multiplier_bins(n, Branch.PLUS)
-    fast = dft_inverse_halfband(plan(n // 2), spectrum)
+    fast = dft_inverse_halfband(plan(n // 2), spectrum[: n // 2 + 1])
     full = dft_inverse(p, spectrum)
     assert infinity_norm_log10(fast, full) >= 12.0
 

@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,6 +265,59 @@ class TestHilbertSecond:
     def test_halfband_needs_even_length(self):
         with pytest.raises(InvalidSizeError):
             hilbert_second(Signal(seeded(0, 15)), Branch.PLUS, halfband=True)
+
+    def test_warmed_halfband_peak_memory(self):
+        # the route builds bins 0..N/2 of the one-sided spectrum only; with a
+        # zero-filled length-N spectrum the peak was 2.75x the output, and
+        # it is 2.25x without it
+        n = 1 << 16
+        f = Signal(seeded(n, n))
+
+        def call():
+            return hilbert_second(f, Branch.PLUS, halfband=True).samples
+
+        tracemalloc.start()
+        try:
+            call()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes
+
+
+class TestTraceBoundary:
+    """perfbench/spans.py times the dft layer by rebinding these imported
+    names in the calling modules, so the calls must go through them."""
+
+    NAMES = ("plan", "dft_forward", "dft_inverse", "dft_inverse_halfband")
+
+    @pytest.mark.parametrize("module", ["hxkit.hilbert", "hxkit.bench"])
+    def test_dft_names_are_module_attributes(self, module):
+        dft = importlib.import_module("hxkit.dft")
+        mod = importlib.import_module(module)
+        for name in self.NAMES:
+            assert getattr(mod, name) is getattr(dft, name)
+
+    def test_halfband_route_calls_the_bound_inverse_once(self, monkeypatch):
+        import hxkit.hilbert as hilbert
+
+        n = 1024
+        f = Signal(seeded(n, n))
+        want = hilbert_second(f, Branch.PLUS, halfband=True).samples  # warms the plans
+        lengths = []
+        inverse = hilbert.dft_inverse_halfband
+
+        def counted(p, bins):
+            lengths.append(len(bins))
+            return inverse(p, bins)
+
+        monkeypatch.setattr(hilbert, "dft_inverse_halfband", counted)
+        got = hilbert_second(f, Branch.PLUS, halfband=True).samples
+        assert lengths == [n // 2 + 1]
+        assert np.array_equal(got, want)
 
 
 class TestPackedPath:
