@@ -4,7 +4,7 @@
 Thin wrapper over `hx verify`; any `hx verify` flag passes through.
 
     python3 scripts/run_verify.py                 # all suites
-    python3 scripts/run_verify.py --suite contour --tol-scale 10
+    python3 scripts/run_verify.py --suite core --seed 7
 """
 
 import sys

@@ -9,15 +9,13 @@ allocate), 3 malformed data, 4 internal invariant breach; a verify run
 with failing checks exits 1.
 
 Human-readable output goes to stdout and diagnostics to stderr; the only
-machine-read artifacts are the signal/report files themselves.  The
-default RNG seed is 42, overridden by the HX_SEED environment variable,
-overridden by an explicit --seed flag.
+machine-read artifacts are the signal/report files themselves.  The RNG
+seed is --seed, 42 by default.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -45,23 +43,6 @@ EXIT_INVARIANT = 4
 _BRANCH_FORMS = {"second-plus": Branch.PLUS, "second-minus": Branch.MINUS}
 
 _DEFAULT_POWERS = "10,12,12.5,18.5,20"
-
-
-def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        if flag_value < 0:
-            raise DomainError("seed must be unsigned")
-        return flag_value
-    env = os.environ.get("HX_SEED")
-    if env is None:
-        return 42
-    try:
-        value = int(env)
-    except ValueError:
-        raise DomainError(f"HX_SEED must be an integer, got {env!r}") from None
-    if value < 0:
-        raise DomainError("HX_SEED must be unsigned")
-    return value
 
 
 def _parse_floats(text: str, n: int, what: str) -> tuple:
@@ -123,9 +104,7 @@ def cmd_bench(args) -> int:
         powers = tuple(float(t) for t in tokens)
     except ValueError:
         raise DomainError(f"invalid power list {args.powers!r}") from None
-    config = BenchConfig(
-        powers=powers, trials=args.trials, warmup=args.warmup, seed=_resolve_seed(args.seed)
-    )
+    config = BenchConfig(powers=powers, trials=args.trials, warmup=args.warmup, seed=args.seed)
     records = run_bench(config)
     write_csv(records, args.out)
     print(f"{'power':>7} {'n':>8} {'form':>7} {'mean_ms':>12} {'stddev_ms':>12} {'vs_first':>9}")
@@ -145,7 +124,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    outcome = run_suite(args.suite, tol_scale=args.tol_scale, seed=_resolve_seed(args.seed))
+    outcome = run_suite(args.suite, seed=args.seed)
     for check in outcome.checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.line}")
         for note in check.notes:
@@ -219,15 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated exponents, size = nearest even 2^p (default {_DEFAULT_POWERS})")
     b.add_argument("--trials", type=int, default=100)
     b.add_argument("--warmup", type=int, default=10)
-    b.add_argument("--seed", type=int, default=None)
+    b.add_argument("--seed", type=int, default=42)
     b.add_argument("--out", required=True, help="CSV report path")
     b.set_defaults(func=cmd_bench)
 
     v = sub.add_parser("verify", help="run identity and cross-check suites")
     v.add_argument("--suite", choices=list(SUITES), default="all")
-    v.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0,
-                   help="multiply every pass/fail threshold by this factor")
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=42)
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("contour", help="closed-curve integrals of an analytic function")

@@ -11,7 +11,7 @@ compared by the verify suite; this module just does the geometry and
 quadrature honestly.
 
 Curves are discretized per smooth segment (a circle is one segment, a
-polyline one per side) and integrated with composite Simpson on each
+rectangle one per side) and integrated with composite Simpson on each
 segment.  The unwrapped argument lives on a single chain of nodes running
 once around the curve, so the closing node carries the accumulated value,
 not a copy of the starting one; corner nodes are shared between adjacent
@@ -122,8 +122,8 @@ def unwrap_argument(raw_args) -> BranchTrace:
     return BranchTrace(angles=angles, winding=float(angles[-1] - angles[0]))
 
 
-def _even_at_least(n: int, floor: int = 2) -> int:
-    n = max(floor, int(n))
+def _even_at_least(n: int) -> int:
+    n = max(2, int(n))
     return n + (n % 2)
 
 
@@ -140,10 +140,6 @@ class JordanCurve:
         last = self.segments[-1].points[-1]
         if abs(first - last) > 1e-12 * max(1.0, abs(first)):
             raise GeometryError("curve is not closed")
-
-    @property
-    def node_count(self) -> int:
-        return sum(len(s.points) - 1 for s in self.segments)
 
     def chain(self) -> np.ndarray:
         """All nodes once around the curve; the closing node is a separate
@@ -167,69 +163,42 @@ class JordanCurve:
 
     @classmethod
     def rectangle(cls, x0, y0, x1, y1, nodes=4096, t0=0.0) -> "JordanCurve":
+        """Axis-aligned rectangle walked counterclockwise from the point at
+        perimeter fraction ``t0`` (0 is the corner (x0, y0)), one segment
+        per side, the side holding that point split in two."""
         if not (x0 < x1 and y0 < y1):
             raise GeometryError("need x0 < x1 and y0 < y1")
-        corners = [
-            complex(x0, y0),
-            complex(x1, y0),
-            complex(x1, y1),
-            complex(x0, y1),
-        ]
-        return cls._polyline_impl("rectangle", corners, nodes, t0)
-
-    @classmethod
-    def polyline(cls, vertices, nodes=4096, t0=0.0) -> "JordanCurve":
-        verts = [complex(v) for v in vertices]
-        if len(verts) >= 2 and abs(verts[0] - verts[-1]) < 1e-12:
-            verts = verts[:-1]
-        if len(verts) < 3:
-            raise GeometryError("a closed polyline needs at least 3 distinct vertices")
-        return cls._polyline_impl("polyline", verts, nodes, t0)
-
-    @classmethod
-    def _polyline_impl(cls, kind, verts, nodes, t0) -> "JordanCurve":
         if nodes < _MIN_NODES:
             raise InvalidSizeError(f"need at least {_MIN_NODES} nodes")
-        area2 = sum(
-            (verts[i].real * verts[(i + 1) % len(verts)].imag)
-            - (verts[(i + 1) % len(verts)].real * verts[i].imag)
-            for i in range(len(verts))
-        )
-        if area2 <= 0:
-            raise GeometryError("vertices must wind counterclockwise")
-        lengths = [
-            abs(verts[(i + 1) % len(verts)] - verts[i]) for i in range(len(verts))
-        ]
-        if min(lengths) == 0.0:
-            raise GeometryError("degenerate zero-length side")
+        verts = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+        lengths = [abs(verts[(i + 1) % 4] - verts[i]) for i in range(4)]
         perimeter = sum(lengths)
 
-        # rotate the vertex cycle so the walk starts at parameter t0,
+        # rotate the corner cycle so the walk starts at parameter t0,
         # splitting a side when t0 lands strictly inside one
         s = (t0 % 1.0) * perimeter
         cum = np.concatenate([[0.0], np.cumsum(lengths)])
         side = int(np.searchsorted(cum, s, side="right") - 1)
-        side = min(side, len(verts) - 1)
+        side = min(side, 3)
         frac = (s - cum[side]) / lengths[side]
-        cycle = []
         if frac < 1e-12 or frac > 1.0 - 1e-12:
-            anchor = (side + (frac > 0.5)) % len(verts)
-            cycle = [verts[(anchor + i) % len(verts)] for i in range(len(verts))]
+            anchor = (side + (frac > 0.5)) % 4
+            cycle = [verts[(anchor + i) % 4] for i in range(4)]
         else:
-            p = verts[side] + frac * (verts[(side + 1) % len(verts)] - verts[side])
-            cycle = [p] + [verts[(side + 1 + i) % len(verts)] for i in range(len(verts))]
+            p = verts[side] + frac * (verts[(side + 1) % 4] - verts[side])
+            cycle = [p] + [verts[(side + 1 + i) % 4] for i in range(4)]
         cycle.append(cycle[0])
 
-        seg_lengths = [abs(b - a) for a, b in zip(cycle[:-1], cycle[1:])]
         segments = []
-        for a, b, ln in zip(cycle[:-1], cycle[1:], seg_lengths):
+        for a, b in zip(cycle[:-1], cycle[1:]):
+            ln = abs(b - a)
             m = _even_at_least(round(nodes * ln / perimeter))
             u = np.linspace(0.0, 1.0, m + 1)
             tspan = ln / perimeter
             points = a + u * (b - a)
             dzdt = np.full(m + 1, (b - a) / tspan, dtype=np.complex128)
             segments.append(Segment(points=points, dzdt=dzdt, tspan=tspan))
-        return cls(kind=kind, segments=tuple(segments), start=complex(cycle[0]))
+        return cls(kind="rectangle", segments=tuple(segments), start=complex(cycle[0]))
 
 
 @dataclass(frozen=True)
@@ -273,7 +242,7 @@ def cauchy_integral(f: AnalyticTestFunction, curve: JordanCurve, z) -> complex:
     """(1/2pi*i) * contour_integral f(z')/(z' - z) dz' for interior z.
 
     Periodic trapezoid on circles (spectrally accurate), composite Simpson
-    per side on polylines.
+    per side on rectangles.
     """
     z = complex(z)
     _require_interior(curve, z)

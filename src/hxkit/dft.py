@@ -349,14 +349,21 @@ def _as_vector(x, n: int) -> np.ndarray:
         raise SizeMismatchError(f"expected a 1-d sequence, got shape {v.shape}")
     if v.shape[0] != n:
         raise SizeMismatchError(f"sequence length {v.shape[0]} does not match plan size {n}")
-    return v.astype(np.complex128, copy=False)
+    return v
 
 
 def dft_forward(p: DftPlan, x) -> np.ndarray:
-    """Forward transform of ``x`` (length must equal ``p.size``)."""
+    """Forward transform of ``x`` (length must equal ``p.size``).
+
+    Input of another dtype is widened to complex128 in :func:`_input_slot`
+    or, by Bluestein, in its chirp product, never in a temporary."""
     x = _as_vector(x, p.size)
     out = np.empty(p.size, dtype=np.complex128)
     if p.strategy == STOCKHAM:
+        if x.dtype != np.complex128:
+            slot = _input_slot(p, out)
+            slot[...] = x
+            x = slot
         _stockham(x, p.stages_fwd, -1, out)
     else:
         _bluestein(x, p, out, -1)
@@ -366,7 +373,8 @@ def dft_forward(p: DftPlan, x) -> np.ndarray:
 def dft_inverse(p: DftPlan, X) -> np.ndarray:
     """Inverse transform with the 1/N prefactor."""
     out = np.empty(p.size, dtype=np.complex128)
-    _inverse_into(p, _as_vector(X, p.size), out, 1.0 / p.size)
+    X = _as_vector(X, p.size).astype(np.complex128, copy=False)
+    _inverse_into(p, X, out, 1.0 / p.size)
     return out
 
 
@@ -375,7 +383,7 @@ def dft_direct_reference(x, direction: str = "forward") -> np.ndarray:
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1 or v.shape[0] < 1:
         raise InvalidSizeError("reference transform needs a nonempty 1-d sequence")
-    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+    if not np.isfinite(v).all():
         raise DataError("non-finite samples")
     if direction not in ("forward", "inverse"):
         raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")

@@ -64,7 +64,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dft import DftPlan, _unit_roots, dft_forward, dft_inverse, dft_inverse_halfband, plan
+from .dft import (
+    DftPlan,
+    _input_slot,
+    _inverse_into,
+    _unit_roots,
+    dft_forward,
+    dft_inverse,
+    dft_inverse_halfband,
+    plan,
+)
 from .errors import (
     DataError,
     DegenerateFitError,
@@ -120,7 +129,7 @@ class Signal:
         arr = np.asarray(self.samples)
         if arr.ndim != 1 or arr.shape[0] < 2:
             raise InvalidSizeError("a signal needs at least 2 samples on one axis")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        if not np.isfinite(arr).all():
             raise DataError("non-finite samples")
         if not (self.dx > 0):
             raise DataError(f"grid spacing must be positive, got {self.dx}")
@@ -248,11 +257,15 @@ def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The length-N pipeline: forward DFT, multiply by the table m, inverse."""
-    p = _cached_plan(x.shape[0])
+    """The length-N pipeline: forward DFT, multiply by the table m, inverse.
+
+    The product is built in the inverse's input slot and the inverse runs
+    in place in the spectrum, so the call allocates only the spectrum."""
+    n = x.shape[0]
+    p = _cached_plan(n)
     X = dft_forward(p, x)
-    X *= m
-    return dft_inverse(p, X)
+    _inverse_into(p, np.multiply(X, m, out=_input_slot(p, X)), X, 1.0 / n)
+    return X
 
 
 def _first_form_repack(Z: np.ndarray, out: np.ndarray) -> None:
@@ -276,7 +289,8 @@ def _first_form(x: np.ndarray) -> np.ndarray:
 
     ``x`` is a scratch copy.  On the even path it holds the repacked
     product, whose length-N/2 inverse is y[2m] + i*y[2m+1], so the output
-    is real by construction.
+    is real by construction.  On the odd path it receives the real part
+    of the length-N pipeline's output.
     """
     n = x.shape[0]
     if n % 2 == 0:
@@ -290,7 +304,8 @@ def _first_form(x: np.ndarray) -> np.ndarray:
         raise InvariantBreach(
             f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {peak:.3e}"
         )
-    return out.real.copy()
+    x[...] = out.real
+    return x
 
 
 def _halfband_plus(x: np.ndarray) -> np.ndarray:

@@ -73,7 +73,7 @@ class GridFunction:
             )
         if not np.all(np.isfinite(nodes)):
             raise DataError("non-finite nodes")
-        if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
+        if not np.isfinite(values).all():
             raise DataError("non-finite values")
         d = np.diff(nodes)
         if np.any(d <= 0):
@@ -227,20 +227,18 @@ def log_kernel_convolve(f: GridFunction, branch, x_eval=None) -> GridFunction:
     return GridFunction(f.nodes[idx], out)
 
 
-def hilbert_second_quadrature(
-    f: GridFunction, branch, x_eval=None, enforce_decay: bool = True
-) -> GridFunction:
+def hilbert_second_quadrature(f: GridFunction, branch, x_eval=None) -> GridFunction:
     """Second-form transform by direct quadrature: differentiate f on the
     grid, then convolve with the branch-resolved log kernel.
 
     Independent of the spectral route end to end: stencil derivative, real
     logarithm plus explicit i*pi*branch bookkeeping, trapezoid weights.
     For real decaying f the real part reproduces -(classical transform) and
-    the imaginary part reproduces -/+ f, up to quadrature error.
+    the imaginary part reproduces -/+ f, up to quadrature error.  f must
+    decay to 1e-6 of its peak at both ends, or :class:`DecayError` is raised.
     """
     h = _require_uniform(f)
-    if enforce_decay:
-        _require_decay(f)
+    _require_decay(f)
     g = GridFunction(f.nodes, grid_derivative(f.values, h))
     return log_kernel_convolve(g, branch, x_eval)
 

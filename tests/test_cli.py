@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 import hxkit.cli as cli
+import hxkit.verify as verify
 from hxkit.bench import CSV_HEADER
 from hxkit.cli import main
-from hxkit.errors import DomainError, InvariantBreach
+from hxkit.errors import InvariantBreach
+from hxkit.verify import VerifyOutcome
 
 
 def write_cos(path, n=256):
@@ -62,27 +65,47 @@ class TestExitCodeMapping:
 
 
 class TestSeedResolution:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("HX_SEED", raising=False)
-        assert cli._resolve_seed(None) == 42
+    """--seed is the only seed; the environment plays no part."""
 
-    def test_env_overrides_default(self, monkeypatch):
+    @staticmethod
+    def _record_seeds(monkeypatch):
+        seen = []
+
+        def fake_suite(suite, seed):
+            seen.append(seed)
+            return VerifyOutcome(suite, ())
+
+        monkeypatch.setattr(cli, "run_suite", fake_suite)
+        return seen
+
+    def test_default(self, monkeypatch, capsys):
+        seen = self._record_seeds(monkeypatch)
+        assert main(["verify", "--suite", "core"]) == 0
+        assert main(["verify", "--suite", "core", "--seed", "13"]) == 0
+        assert seen == [42, 13]
+        assert cli.build_parser().parse_args(["bench", "--out", "r.csv"]).seed == 42
+
+    def test_flag_overrides_env(self, monkeypatch, capsys):
+        # HX_SEED was retired: the flag wins, and without it the default does
+        seen = self._record_seeds(monkeypatch)
         monkeypatch.setenv("HX_SEED", "7")
-        assert cli._resolve_seed(None) == 7
+        assert main(["verify", "--suite", "core", "--seed", "13"]) == 0
+        assert main(["verify", "--suite", "core"]) == 0
+        assert seen == [13, 42]
 
-    def test_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("HX_SEED", "7")
-        assert cli._resolve_seed(13) == 13
+    def test_bad_env(self, monkeypatch, capsys):
+        # a stale HX_SEED that used to exit 2 is now never read
+        seen = self._record_seeds(monkeypatch)
+        for value in ("lots", "-1"):
+            monkeypatch.setenv("HX_SEED", value)
+            assert main(["verify", "--suite", "core"]) == 0
+        assert seen == [42, 42]
 
-    def test_bad_env(self, monkeypatch):
-        monkeypatch.setenv("HX_SEED", "lots")
-        with pytest.raises(DomainError):
-            cli._resolve_seed(None)
-
-    def test_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv("HX_SEED", "-1")
-        with pytest.raises(DomainError):
-            cli._resolve_seed(None)
+    def test_negative_rejected(self, capsys, tmp_path):
+        assert main(["verify", "--suite", "core", "--seed", "-1"]) == 2
+        report = tmp_path / "r.csv"
+        assert main(["bench", "--powers", "10", "--seed", "-1", "--out", str(report)]) == 2
+        assert not report.exists()
 
 
 class TestTransform:
@@ -211,11 +234,41 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "everything"]) == 2
 
-    def test_impossible_tolerance_fails(self, capsys):
-        assert main(["verify", "--suite", "quadrature", "--tol-scale", "1e-18"]) == 1
+    def test_impossible_tolerance_fails(self, capsys, monkeypatch):
+        # a residual of 1 can never meet the stieltjes check's 1e-5
+        monkeypatch.setattr(verify, "stieltjes_residual", lambda *args: 1.0)
+        assert main(["verify", "--suite", "quadrature"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL stieltjes: integration-by-parts residual, n=2000; error 1.000e+00" in out
+        assert "suite quadrature: 7/8 checks passed" in out
 
-    def test_negative_tolerance_rejected(self, capsys):
-        assert main(["verify", "--suite", "core", "--tol-scale", "-1"]) == 2
+    def test_tol_scale_is_not_an_option(self, capsys):
+        # thresholds are fixed, so the caller cannot choose the verdict
+        assert main(["verify", "--suite", "core", "--tol-scale", "1"]) == 2
+        assert "unrecognized arguments: --tol-scale" in capsys.readouterr().err
+
+
+class TestSurface:
+    """Every option of every subcommand, pinned: a new knob needs an edit here."""
+
+    EXPECTED = {
+        "transform": {"--in", "--out", "--form", "--format"},
+        "analytic": {"--in", "--out", "--envelope", "--format"},
+        "bench": {"--powers", "--trials", "--warmup", "--seed", "--out"},
+        "verify": {"--suite", "--seed"},
+        "contour": {"--poly", "--exp", "--curve", "--start", "--point", "--nodes"},
+    }
+
+    @staticmethod
+    def options(parser) -> set:
+        return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+    def test_option_strings_per_subcommand(self):
+        parser = cli.build_parser()
+        assert self.options(parser) == set()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {name: self.options(p) for name, p in sub.choices.items()}
+        assert got == self.EXPECTED
 
 
 class TestContour:

@@ -92,22 +92,11 @@ class TestJordanCurve:
         with pytest.raises(GeometryError):
             JordanCurve.rectangle(2, -2, -2, 2)
 
-    def test_polyline_clockwise_rejected(self):
-        with pytest.raises(GeometryError):
-            JordanCurve.polyline([0, 1j, 1.0], 64)
-
-    def test_polyline_accepts_explicit_closure(self):
-        c = JordanCurve.polyline([0, 2.0, 2j, 0], 64)
-        assert c.kind == "polyline"
-        assert abs(c.chain()[-1] - c.chain()[0]) < 1e-14
-
-    def test_polyline_needs_three_vertices(self):
-        with pytest.raises(GeometryError):
-            JordanCurve.polyline([0, 1.0], 64)
-
     def test_node_count_near_request(self):
-        c = JordanCurve.rectangle(-2, -2, 2, 2, 4096)
-        assert abs(c.node_count - 4096) <= 8
+        # each side rounds its share of the nodes up to an even count
+        for t0 in (0.0, 0.375):
+            c = JordanCurve.rectangle(-2, -2, 2, 2, 4096, t0=t0)
+            assert abs((len(c.chain()) - 1) - 4096) <= 8
 
 
 class TestWinding:

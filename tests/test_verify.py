@@ -1,5 +1,6 @@
 import pytest
 
+import hxkit.verify as verify
 from hxkit.errors import DomainError
 from hxkit.verify import SUITES, Check, VerifyOutcome, run_suite
 
@@ -30,11 +31,9 @@ class TestOutcomeShape:
         with pytest.raises(DomainError):
             run_suite("everything")
 
-    def test_bad_tol_scale(self):
-        with pytest.raises(DomainError):
-            run_suite("core", tol_scale=0.0)
-        with pytest.raises(DomainError):
-            run_suite("core", tol_scale=-2.0)
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be unsigned"):
+            run_suite("core", seed=-1)
 
     def test_suite_names(self):
         assert SUITES == ("core", "quadrature", "contour", "all")
@@ -129,6 +128,9 @@ class TestAllSuite:
             len(core.checks) + len(quadrature.checks) + len(contour.checks)
         )
 
-    def test_impossible_tolerance_fails_honestly(self):
-        strangled = run_suite("quadrature", tol_scale=1e-18)
+    def test_impossible_tolerance_fails_honestly(self, monkeypatch):
+        # a residual of 1 can never meet the stieltjes check's 1e-5
+        monkeypatch.setattr(verify, "stieltjes_residual", lambda *args: 1.0)
+        strangled = run_suite("quadrature")
         assert not strangled.passed
+        assert [c.name for c in strangled.checks if not c.passed] == ["stieltjes"]
