@@ -195,15 +195,6 @@ def _pack_twiddles(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _plus_half_multiplier(n: int) -> np.ndarray:
-    """multiplier_bins(n, Branch.PLUS) on bins 0..n/2, which the half-band
-    route uses."""
-    m = multiplier_bins(n, Branch.PLUS)[: n // 2 + 1].copy()
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=32)
 def _first_form_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) with Z'[k] = i*a[k]*Z[k] + b[k]*conj Z[n/2-k] for k < n/2.
 
@@ -314,10 +305,15 @@ def _halfband_plus(x: np.ndarray) -> np.ndarray:
     ``x`` is a scratch copy whose memory the unpack reuses.
     """
     n = x.shape[0]
-    bins = np.empty(n // 2 + 1, dtype=np.complex128)
+    nh = n // 2
+    bins = np.empty(nh + 1, dtype=np.complex128)
     _unpack(_packed_forward(x), bins, x.view(np.complex128))
-    bins *= _plus_half_multiplier(n)
-    return dft_inverse_halfband(_cached_plan(n // 2), bins)
+    # multiplier_bins(n, Branch.PLUS) on bins 0..n/2 is -2i between DC and
+    # Nyquist and -i at both, each with a +0.0 real part (the literal -2j
+    # has -0.0, which would flip the sign of some zero products)
+    bins[1:nh] *= complex(0.0, -2.0)
+    bins[::nh] *= complex(0.0, -1.0)
+    return dft_inverse_halfband(_cached_plan(nh), bins)
 
 
 def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:

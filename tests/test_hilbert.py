@@ -289,6 +289,32 @@ class TestHilbertSecond:
             tracemalloc.stop()
         assert peak <= 2.5 * out.nbytes
 
+    def test_halfband_bins_are_the_multiplier_table_product(self, monkeypatch):
+        # the route scales the unpacked bins 0..N/2 by the two values of the
+        # plus-branch table, -2i and -i, which must give the table product
+        # bit for bit; constant, alternating and zero signals give zero bins
+        # of either sign.  Peaks in [1/2, 1) leave the signals unscaled
+        import hxkit.hilbert as hilbert
+
+        n = 64
+        seen = []
+        inverse = hilbert.dft_inverse_halfband
+
+        def captured(p, bins):
+            seen.append(bins.copy())
+            return inverse(p, bins)
+
+        monkeypatch.setattr(hilbert, "dft_inverse_halfband", captured)
+        x = seeded(n, n)
+        for sig in (0.75 * x / np.abs(x).max(), np.full(n, 0.5), np.full(n, -0.5),
+                    0.5 * (-1.0) ** np.arange(n), np.zeros(n), np.eye(1, n, 3)[0] * 0.5):
+            hilbert_second(Signal(sig), Branch.PLUS, halfband=True)
+            bins = np.empty(n // 2 + 1, dtype=np.complex128)
+            hilbert._unpack(hilbert._packed_forward(sig.copy()), bins,
+                            np.empty(n // 2, dtype=np.complex128))
+            want = bins * multiplier_bins(n, Branch.PLUS)[: n // 2 + 1]
+            assert seen[-1].tobytes() == want.tobytes()
+
 
 class TestTraceBoundary:
     """perfbench/spans.py times the dft layer by rebinding these imported
