@@ -11,23 +11,27 @@ Hermitian spectrum, X[N-k] = conj(X[k]).
 
 Two strategies sit behind :func:`plan`.  Every size n = 2^a * 3^b * 5^c
 runs a self-sorting (Stockham) mixed-radix transform (Cochran et al. 1967;
-Temperton 1983, "Self-sorting mixed-radix fast Fourier transforms"): radix-4
-stages first, then radix 2, 3 and 5, each an explicit butterfly with one
-twiddle table.  The spectrum comes out in natural order, so there is no
-bit-reversal gather.  Each stage runs tile by tile over its index space,
-so that the butterfly's element passes reuse a cache-sized block (after
-Bailey 1990, "FFTs in external or hierarchical memory"); the arithmetic
-per element is that of one whole-stage pass.  The stages ping-pong
-between the caller's output and one per-thread work row, with the parity
-chosen so that the last stage lands in the output, and the butterflies
-keep their temporaries at the start of a per-thread scratch row, so a
-warmed transform allocates nothing but its result.  Every other size takes
-the chirp-based (Bluestein) reduction to a cyclic convolution, padded to
-the smallest 5-smooth length >= 2n-1 and run on the same stages in the
-pad's workspace, so it too allocates only its result.  Both act on one
-1-d sequence; there is no batch axis.  :func:`dft_direct_reference`
-evaluates the defining sums in O(N^2) and is the oracle the fast paths are
-tested against.
+Temperton 1983, "Self-sorting mixed-radix fast Fourier transforms") in the
+fewest stages of 5-smooth radices up to 32.  Each stage is written as a
+Kronecker factor (Van Loan 1992, "Computational Frameworks for the FFT"):
+one product of the small r-point DFT matrix with the data read as
+(r, n/r), which numpy runs through BLAS zgemm, then one twiddle pass.  The
+spectrum comes out in natural order, so there is no bit-reversal gather.
+The stages ping-pong between the caller's output and one per-thread work
+row, with the parity chosen so that the last stage lands in the output,
+and each product goes to a per-thread scratch row, so a warmed transform
+allocates nothing but its result.  Every other size takes the
+chirp-based (Bluestein) reduction to a cyclic convolution, padded to the
+smallest 5-smooth length >= 2n-1 and run on the same stages in the pad's
+workspace, so it too allocates only its result.  Both act on one 1-d
+sequence; there is no batch axis.  :func:`dft_direct_reference` evaluates
+the defining sums in O(N^2) and is the oracle the fast paths are tested
+against.
+
+Outputs do not depend on the number of BLAS threads, but BLAS picks its
+compute kernel for the CPU it runs on, and another kernel (for example
+one forced with OPENBLAS_CORETYPE) may round the products differently in
+the last ulp.
 
 :func:`dft_inverse_halfband` inverts a one-sided spectrum of even length N,
 given as its bins 0..N/2, with two inverse transforms of length N/2, one
@@ -83,17 +87,41 @@ class DftPlan:
         return None
 
 
+# the 5-smooth stage radices, largest first
+_RADICES = (32, 30, 27, 25, 24, 20, 18, 16, 15, 12, 10, 9, 8, 6, 5, 4, 3, 2)
+
+
+def _splits(n: int, k: int, top: int):
+    """Non-increasing lists of k radices <= top whose product is n."""
+    if k == 0:
+        if n == 1:
+            yield []
+        return
+    for r in _RADICES:
+        if r <= top and n % r == 0 and r**k >= n:
+            for rest in _splits(n // r, k - 1, r):
+                yield [r, *rest]
+
+
 def _radices(n: int) -> list[int] | None:
-    """Stage radices of a 5-smooth n (fours first, then 2, 3, 5), else None."""
-    out = []
-    while n % 4 == 0:
-        out.append(4)
-        n //= 4
-    for r in (2, 3, 5):
-        while n % r == 0:
-            out.append(r)
-            n //= r
-    return out if n == 1 else None
+    """Stage radices of a 5-smooth n, largest first, else None.
+
+    Each stage is a full pass over the data, so the split has the fewest
+    stages; of those it takes the least sum of radices, since a stage of
+    radix r costs r multiply-adds per element in its matrix product and
+    r - 1 twiddle calls.  So 2^17 runs as [32, 16, 16, 16], not
+    [32, 32, 32, 4], and 64 as [8, 8], not [32, 2].
+    """
+    m = n
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    if m != 1:
+        return None
+    k = 0
+    while (best := min(_splits(n, k, _RADICES[0]), key=sum, default=None)) is None:
+        k += 1
+    return best
 
 
 def _next_smooth(n: int) -> int:
@@ -121,6 +149,15 @@ def _unit_roots(e: np.ndarray, n: int, sign: int) -> np.ndarray:
     e = e % n
     e = np.where(2 * e > n, e - n, e)
     return np.exp((sign * 2j * np.pi / n) * e)
+
+
+@lru_cache(maxsize=2 * len(_RADICES))
+def _dft_matrix(r: int, sign: int) -> np.ndarray:
+    """The r-point DFT as a read-only (r, r) matrix, exp(sign*2*pi*i*j*t/r)."""
+    e = np.arange(r)
+    f = _unit_roots(np.outer(e, e), r, sign)
+    f.setflags(write=False)
+    return f
 
 
 def _stage_tables(n: int, radices: list[int]) -> tuple[np.ndarray, ...]:
@@ -171,106 +208,11 @@ def plan(n: int) -> DftPlan:
     )
 
 
-_C3 = np.sqrt(3.0) / 2.0
-_C5 = (np.cos(2 * np.pi / 5) - np.cos(4 * np.pi / 5)) / 2.0
-_S5 = (np.sin(2 * np.pi / 5), np.sin(4 * np.pi / 5))
-
-
-def _dst(y: np.ndarray, j: int, tmp: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Where butterfly output j > 0 is computed: y[:, j] itself on a stage
-    without twiddles, else the temporary ``tmp`` that :func:`_put` reads."""
-    return y[:, j] if w is None else tmp
-
-
-def _put(y: np.ndarray, j: int, v: np.ndarray, w: np.ndarray | None) -> None:
-    """y[:, j] = v * w[j-1], the twiddled butterfly output j > 0; on a stage
-    without twiddles v was computed in y[:, j] (:func:`_dst`)."""
-    if w is not None:
-        np.multiply(v, w[j - 1], out=y[:, j])
-
-
-# Each butterfly reads a = x as (r, m, s) and writes, for every j < r,
-# y[:, j] = w[j-1] * sum_t a[t] * exp(sign*2*pi*i*j*t/r)  (no twiddle at j = 0;
-# none at all when w is None, as on the last stage).  Its temporaries are
-# the (m, s) slices t[0], t[1], ... of the scratch row.
-
-
-def _radix2(a, y, w, sign, t):
-    np.add(a[0], a[1], out=y[:, 0])
-    _put(y, 1, np.subtract(a[0], a[1], out=_dst(y, 1, t[0], w)), w)
-
-
-def _radix3(a, y, w, sign, t):
-    s, d, u = t[0], t[1], t[2]
-    np.add(a[1], a[2], out=s)
-    np.subtract(a[1], a[2], out=d)
-    d *= sign * 1j * _C3
-    np.add(a[0], s, out=y[:, 0])
-    s *= -0.5
-    s += a[0]
-    _put(y, 1, np.add(s, d, out=_dst(y, 1, u, w)), w)
-    _put(y, 2, np.subtract(s, d, out=_dst(y, 2, s, w)), w)
-
-
-def _radix4(a, y, w, sign, t):
-    p, q, v = t[0], t[1], t[2]
-    np.add(a[0], a[2], out=p)
-    np.add(a[1], a[3], out=q)
-    np.add(p, q, out=y[:, 0])
-    _put(y, 2, np.subtract(p, q, out=_dst(y, 2, p, w)), w)
-    np.subtract(a[0], a[2], out=p)
-    np.subtract(a[1], a[3], out=q)
-    q *= sign * 1j
-    _put(y, 1, np.add(p, q, out=_dst(y, 1, v, w)), w)
-    _put(y, 3, np.subtract(p, q, out=_dst(y, 3, v, w)), w)
-
-
-def _radix5(a, y, w, sign, t):
-    # cosine parts a0 + c1*b1 + c2*b2 and a0 + c2*b1 + c1*b2 with
-    # c1 + c2 = -1/2, so both are (a0 - (b1+b2)/4) +/- (c1-c2)/2*(b1-b2)
-    b1, b2, c2, c1, d1 = t[0], t[1], t[2], t[3], t[4]
-    np.add(a[1], a[4], out=b1)
-    np.add(a[2], a[3], out=b2)
-    np.add(b1, b2, out=c2)
-    np.add(a[0], c2, out=y[:, 0])
-    c2 *= -0.25
-    c2 += a[0]
-    b1 -= b2
-    b1 *= _C5
-    np.add(c2, b1, out=c1)
-    c2 -= b1
-    # sine parts times sign*i: u = s1*d1 + s2*d2 and v = s2*d1 - s1*d2;
-    # the product s2*d2 is parked in y[:, 4], which is written last
-    d2, u = b2, b1
-    np.subtract(a[1], a[4], out=d1)
-    np.subtract(a[2], a[3], out=d2)
-    s1, s2 = sign * 1j * _S5[0], sign * 1j * _S5[1]
-    np.multiply(d1, s1, out=u)
-    u += np.multiply(d2, s2, out=y[:, 4])
-    d1 *= s2
-    d2 *= s1
-    d1 -= d2
-    _put(y, 1, np.add(c1, u, out=_dst(y, 1, d2, w)), w)
-    _put(y, 4, np.subtract(c1, u, out=_dst(y, 4, c1, w)), w)
-    _put(y, 2, np.add(c2, d1, out=_dst(y, 2, u, w)), w)
-    _put(y, 3, np.subtract(c2, d1, out=_dst(y, 3, c2, w)), w)
-
-
-_BUTTERFLIES = {2: _radix2, 3: _radix3, 4: _radix4, 5: _radix5}
-
 # per-thread (rows, n) complex buffers for the sizes used last: row 0 is the
-# ping-pong partner of the caller's output, row 1 the butterflies' scratch,
+# ping-pong partner of the caller's output, row 1 the stages' matrix products,
 # and a Bluestein pad's row 2 the output of its padded transforms
 _WORKSPACE = threading.local()
 _WORKSPACE_SIZES = 2
-
-# tile size in complex elements of a stage's (m, s) index space
-# (:func:`_tiles`): at 128 KiB per (m, s) block, a tile's input, output
-# and temporaries mostly stay in a 2 MiB L2 cache.  Of 4096, 6144, 8192
-# and 12288, 8192 measured fastest at n = 2^18, within noise of the best
-# at 2^17 and 100 000, and no slower than whole stages at 50 000 (2-CPU
-# Xeon, numpy 2.4)
-_TILE = 8192
 
 
 def _workspace(n: int, rows: int = 2) -> np.ndarray:
@@ -285,25 +227,6 @@ def _workspace(n: int, rows: int = 2) -> np.ndarray:
     return buf
 
 
-def _tiles(m: int, s: int):
-    """(p, q) index slices that cut an (m, s) index space into about
-    m*s // _TILE tiles of near-equal size: blocks of whole rows of s while
-    s < _TILE, else runs of q within one p.  A space of fewer than
-    2*_TILE elements is one tile, since a split would only add calls."""
-    k = m * s // _TILE
-    if k < 2:
-        yield slice(None), slice(None)
-    elif s < _TILE:
-        rows = -(-m // k)
-        for p in range(0, m, rows):
-            yield slice(p, p + rows), slice(None)
-    else:
-        run = -(-s // (s // _TILE))
-        for p in range(m):
-            for q in range(0, s, run):
-                yield slice(p, p + 1), slice(q, q + run)
-
-
 def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
               out: np.ndarray | None = None) -> np.ndarray:
     """Self-sorting mixed-radix transform of a 1-d sequence into ``out``.
@@ -316,19 +239,22 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
     where every twiddle is 1 and none is applied) the spectrum is in
     natural order.
 
-    A stage runs tile by tile over its (m, s) index space (:func:`_tiles`),
-    so that the tile's input, output and r temporaries stay in cache
-    between the butterfly's element passes.  The temporaries are r
-    tile-shaped blocks at the start of the per-thread scratch row, which
-    holds them, since a tile is part of the stage's n/r elements.  Every
-    element sees the same arithmetic as in one whole-stage call.
+    A stage is one matrix product and one twiddle pass (Van Loan 1992,
+    "Computational Frameworks for the FFT"): T = F_r @ x read as
+    (r, m*s), with F_r the r-point DFT matrix (:func:`_dft_matrix`), which
+    numpy hands to BLAS zgemm; then y[:, 0] = T[0] and y[:, j] =
+    T[j] * w[j-1] for 0 < j < r, one 2-d multiply per j.  T lives in the
+    per-thread scratch row.  The last stage has no twiddles, so its product
+    is written straight into y.
 
     The stages alternate between ``out`` (a new array if None; any 1-d
     view, strided or not) and the work row of the per-thread workspace,
     starting with ``out`` for an odd stage count so that the last stage
     lands in ``out``.  ``x`` is read by the first stage only, so it may be
     the buffer that stage does not write: ``out`` for an even stage count,
-    the work row (:func:`_input_slot`) for an odd one.
+    the work row (:func:`_input_slot`) for an odd one.  A strided ``x``
+    gives the same result, but its product does not run in BLAS
+    (:func:`_engine_input`).
     """
     n = x.shape[0]
     if out is None:
@@ -341,12 +267,15 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
     s = 1
     for i, w in enumerate(stages):
         r, m = w.shape[0] + 1, w.shape[1]
-        butterfly = _BUTTERFLIES[r]
-        a, y = x.reshape(r, m, s), buffers[i % 2].reshape(m, r, s)
-        for p, q in _tiles(m, s):
-            tile = a[:, p, q]
-            butterfly(tile, y[p, :, q], w[:, p] if m > 1 else None, sign,
-                      scratch[:tile.size].reshape(tile.shape))
+        f, y = _dft_matrix(r, sign), buffers[i % 2]
+        if m == 1:
+            np.matmul(f, x.reshape(r, s), out=y.reshape(r, s))
+        else:
+            t = np.matmul(f, x.reshape(r, m * s), out=scratch.reshape(r, m * s))
+            t, y = t.reshape(r, m, s), y.reshape(m, r, s)
+            y[:, 0] = t[0]
+            for j in range(1, r):
+                np.multiply(t[j], w[j - 1], out=y[:, j])
         x = buffers[i % 2]
         s *= r
     return out
@@ -402,18 +331,26 @@ def _as_vector(x, n: int) -> np.ndarray:
     return v
 
 
-def dft_forward(p: DftPlan, x) -> np.ndarray:
-    """Forward transform of ``x`` (length must equal ``p.size``).
+def _engine_input(p: DftPlan, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x`` as a transform into ``out`` reads it.
 
-    Input of another dtype is widened to complex128 in :func:`_input_slot`
-    or, by Bluestein, in its chirp product, never in a temporary."""
+    Stockham input that is not contiguous complex128 is copied into
+    :func:`_input_slot`: that widens other dtypes without a temporary, and
+    keeps the first stage's matrix product on BLAS, which a strided operand
+    falls off.  Bluestein reads any input once, in its chirp product."""
+    if p.strategy == STOCKHAM and (x.dtype != np.complex128 or not x.flags.c_contiguous):
+        slot = _input_slot(p, out)
+        slot[...] = x
+        return slot
+    return x
+
+
+def dft_forward(p: DftPlan, x) -> np.ndarray:
+    """Forward transform of ``x`` (length must equal ``p.size``)."""
     x = _as_vector(x, p.size)
     out = np.empty(p.size, dtype=np.complex128)
+    x = _engine_input(p, x, out)
     if p.strategy == STOCKHAM:
-        if x.dtype != np.complex128:
-            slot = _input_slot(p, out)
-            slot[...] = x
-            x = slot
         _stockham(x, p.stages_fwd, -1, out)
     else:
         _bluestein(x, p, out, -1)
@@ -422,9 +359,9 @@ def dft_forward(p: DftPlan, x) -> np.ndarray:
 
 def dft_inverse(p: DftPlan, X) -> np.ndarray:
     """Inverse transform with the 1/N prefactor."""
+    X = _as_vector(X, p.size)
     out = np.empty(p.size, dtype=np.complex128)
-    X = _as_vector(X, p.size).astype(np.complex128, copy=False)
-    _inverse_into(p, X, out, 1.0 / p.size)
+    _inverse_into(p, _engine_input(p, X, out), out, 1.0 / p.size)
     return out
 
 

@@ -187,6 +187,18 @@ def _cached_plan(n: int) -> DftPlan:
 
 
 @lru_cache(maxsize=32)
+def _odd_first_bins(n: int) -> np.ndarray:
+    """Read-only :func:`multiplier_bins` table of the odd-n first form.
+
+    Even n never needs the full-length table: its first form runs on
+    :func:`_first_form_bins`.  Each entry is no larger than the plan that
+    :func:`_cached_plan` keeps for the same n."""
+    m = multiplier_bins(n)
+    m.setflags(write=False)
+    return m
+
+
+@lru_cache(maxsize=32)
 def _pack_twiddles(n: int) -> np.ndarray:
     """-(i/2)*w^k for k <= n/2, w = exp(-2*pi*i/n): the unpack twiddles."""
     t = -0.5j * _unit_roots(np.arange(n // 2 + 1), n, -1)
@@ -288,7 +300,7 @@ def _first_form(x: np.ndarray) -> np.ndarray:
         zp = x.view(np.complex128)
         _first_form_repack(_packed_forward(x), zp)
         return dft_inverse(_cached_plan(n // 2), zp).view(np.float64)
-    out = _full_length(x, multiplier_bins(n))
+    out = _full_length(x, _odd_first_bins(n))
     peak = _peak(x)
     residue = _peak(out.imag)
     if residue > 1e-12 * peak:

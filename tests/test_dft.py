@@ -1,14 +1,20 @@
+import hashlib
+import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hxkit import dft
+from hxkit import Signal, dft, hilbert_first
 from hxkit.dft import (
     BLUESTEIN,
     STOCKHAM,
@@ -126,10 +132,10 @@ def is_five_smooth(m):
     return m == 1
 
 
-# 3^7, 5^5 and 2*4^5 isolate the radix-3, radix-5 and radix-4/2 stages;
-# the rest mix them (25 000 = 4*2*5^5, 100 000 = 4^2*2*5^5).  The last
-# stage lands in the output after an even (2^16, 15) or odd (2^17, 2)
-# number of stages, or after none (1)
+# 3^7 = [27, 9, 9], 5^5 = [25, 25, 5] and 2*4^5 = [16, 16, 8] keep to
+# one prime; the rest mix them (25 000 = [25, 10, 10, 10], 100 000 =
+# [25, 20, 20, 10]).  The last stage lands in the output after an even
+# (2^16, 2^17) or odd (3^7, 15, 2) number of stages, or after none (1)
 @pytest.mark.parametrize("n", [3**7, 5**5, 2 * 4**5, 2**16, 2**17, 25_000, 50_000, 100_000,
                                15, 2, 1])
 def test_stockham_matches_numpy(n):
@@ -245,9 +251,10 @@ class TestHalfband:
         out = dft_inverse_halfband(plan(4), X)
         assert rel_err(out, np.full(8, c / 8)) < 1e-13
 
-    # half plans with 0 (2), 1 (4), 2 (30) and 8 (2^17) stages, and a
-    # Bluestein half plan (2 * 1009)
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 30, 64, 200, 1024, 2 * 1009, 100_000, 2**17])
+    # half plans with 0 (2), 1 (4 to 64), 2 (200, 1024), 3 (2^16) and 4
+    # (100 000, 2^17) stages, and a Bluestein half plan (2 * 1009)
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 30, 64, 200, 1024, 2 * 1009, 100_000, 2**16,
+                                   2**17])
     def test_matches_full_inverse_on_random_one_sided(self, n):
         rng = np.random.default_rng(n)
         X = one_sided_spectrum(n, rng)
@@ -282,18 +289,18 @@ def test_halfband_exactness_property(seed):
 class TestWorkspace:
     """Transforms run in a per-thread workspace and allocate only their result."""
 
-    # at the parent engine, which allocated every stage's output and the
-    # butterflies' temporaries, these peaks were 3.00x, 3.00x and 3.63x the
-    # result; here they are 1.25x, all of it numpy's two 128 KiB iterator
-    # buffers for the strided butterfly writes, which do not grow with n.
-    # Real input is widened in the buffer the first stage does not write:
-    # the output for 2^16 (8 stages), the workspace row for 2^17 (9); in a
-    # temporary, the peak was 2.06x the result
+    # when every stage's output and the butterflies' temporaries were
+    # allocated, these peaks were 3.00x, 3.00x and 3.63x the result; here
+    # they are 1.13x or less, all of it numpy's 128 KiB iterator buffer for
+    # the strided twiddle writes, which does not grow with n.  Real input
+    # is widened in the buffer the first stage does not write: the output
+    # for 2^16 (4 stages), the workspace row for 2^15 (3); in a temporary,
+    # the peak was 2.06x the result
     @pytest.mark.parametrize(
         "kind", ["forward", "inverse", "halfband", "real-forward", "real-forward-odd-stages"]
     )
     def test_warmed_transform_allocates_only_its_result(self, kind):
-        n = 1 << 17 if kind.endswith("odd-stages") else 1 << 16
+        n = 1 << 15 if kind.endswith("odd-stages") else 1 << 16
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) if kind.startswith("real") else one_sided_spectrum(n, rng)
         if kind == "halfband":
@@ -319,9 +326,10 @@ class TestWorkspace:
     def test_warmed_bluestein_transform_allocates_only_its_result(self):
         # n = 3027 = 3 * 1009 pads to 6075 = 3^5 * 5^2.  With a zero-filled
         # padded array, a second one for the padded forward transform and
-        # the conj(x) and chirp/m temporaries the peak was 6.40x the result;
-        # it is 2.41x here: the result and numpy's two iterator buffers for
-        # the pad's strided stage writes (2025 elements each)
+        # the conj(x) and chirp/m temporaries the peak was 6.40x the result.
+        # Here it is 1.32x for complex input, the result and numpy's
+        # iterator buffers for the pad's strided twiddle writes, and 2.01x
+        # for real input, whose chirp product widens x in one more buffer
         n = 3027
         p = plan(n)
         rng = np.random.default_rng(n)
@@ -379,41 +387,120 @@ class TestWorkspace:
         assert not errors and not mismatches
 
 
+def is_stage_radix(r):
+    return 2 <= r <= 32 and is_five_smooth(r)
+
+
+@given(a=st.integers(0, 24), b=st.integers(0, 15), c=st.integers(0, 10),
+       other=st.sampled_from([1, 1, 7, 11, 49, 1009, 131_071]))
+@settings(max_examples=200, deadline=None)
+def test_property_radices_split_five_smooth_sizes(a, b, c, other):
+    n = 2**a * 3**b * 5**c * other
+    got = dft._radices(n)
+    if other > 1:
+        assert got is None
+        return
+    assert math.prod(got) == n
+    assert all(is_stage_radix(r) for r in got)
+    assert got == sorted(got, reverse=True)
+
+
+@pytest.mark.parametrize("n, want", [(1, []), (64, [8, 8]), (2**17, [32, 16, 16, 16]),
+                                     (100_000, [25, 20, 20, 10]), (6075, [27, 15, 15])])
+def test_radices_examples(n, want):
+    assert dft._radices(n) == want
+
+
 @lru_cache(maxsize=None)
-def _tile_case(n):
-    """Input, one-sided bins and the direct-sum results for TestTiles."""
+def _stage_case(n):
+    """Input and its direct-sum forward and inverse transforms."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    spectrum = np.zeros(2 * n, dtype=np.complex128)
-    spectrum[: n + 1] = v
-    want = (dft_direct_reference(x, "forward"), dft_direct_reference(x, "inverse"),
-            dft_direct_reference(spectrum, "inverse"))
-    return x, v, want
+    if n < 4096:
+        return x, dft_direct_reference(x, "forward"), dft_direct_reference(x, "inverse")
+    # one O(n^2) sum for a large n: by definition the inverse sum at j is
+    # the forward sum at -j mod n, over n
+    fwd = dft_direct_reference(x, "forward")
+    return x, fwd, np.roll(fwd[::-1], 1) / n
 
 
-class TestTiles:
-    """Each stage runs in tiles of its (m, s) index space (``dft._TILE``);
-    every tiling gives the bits of whole-stage passes."""
+class TestStages:
+    """Each stage is one matrix product and one twiddle pass; the engine
+    stays pinned to the direct sum for every radix and stage count."""
 
-    # radix 4 and 2 (128), radix 3 with odd m (3^5), radix 5 (5^4), mixes
-    # (150, 240, 720, 1000) and a Bluestein size (1009, pad 2025 = 3^4 * 5^2).
-    # Tiles of 1 to 64 elements cut the later stages, where s >= the tile,
-    # into runs of q under a single twiddle column; only the last stage
-    # (m = 1) has no twiddles
-    @pytest.mark.parametrize("n", [128, 243, 625, 150, 240, 720, 1000, 1009])
-    @pytest.mark.parametrize("tile", [1, 2, 3, 8, 64])
-    def test_tiled_stages_match_whole_stages_bit_for_bit(self, monkeypatch, tile, n):
-        x, v, want = _tile_case(n)
+    @pytest.mark.parametrize("r", [r for r in range(2, 33) if is_five_smooth(r)])
+    def test_single_stage_radix_matches_direct_sum(self, r):
+        p = plan(r)
+        assert dft._radices(r) == [r] and len(p.stages_fwd) == 1
+        x, fwd, inv = _stage_case(r)
+        assert rel_err(dft_forward(p, x), fwd) <= 1e-12
+        assert rel_err(dft_inverse(p, x), inv) <= 1e-12
 
-        def run():
-            p = plan(n)  # a Bluestein plan transforms its chirp on these stages too
-            return dft_forward(p, x), dft_inverse(p, x), dft_inverse_halfband(p, v)
+    # 2 to 3 stages with twiddles on all but the last; 2^15 = [32, 32, 32]
+    # runs the largest radix at every stage
+    @pytest.mark.parametrize("n", [64, 96, 243, 625, 1000,
+                                   pytest.param(2**15, marks=pytest.mark.slow)])
+    def test_multi_stage_size_matches_direct_sum(self, n):
+        p = plan(n)
+        assert p.strategy == STOCKHAM and len(p.stages_fwd) >= 2
+        x, fwd, inv = _stage_case(n)
+        assert rel_err(dft_forward(p, x), fwd) <= 1e-12
+        assert rel_err(dft_inverse(p, x), inv) <= 1e-12
 
-        monkeypatch.setattr(dft, "_TILE", n)  # every stage is one tile
-        whole = run()
-        monkeypatch.setattr(dft, "_TILE", tile)
-        tiled = run()
-        for got, ref, oracle in zip(tiled, whole, want):
-            assert got.tobytes() == ref.tobytes()
-            assert rel_err(got, oracle) <= 1e-12
+    # pads 2025 = [15, 15, 9] and 6075 = [27, 15, 15]
+    @pytest.mark.parametrize("n", [1009, 3027])
+    def test_bluestein_size_matches_direct_sum(self, n):
+        p = plan(n)
+        assert p.strategy == BLUESTEIN
+        x, fwd, inv = _stage_case(n)
+        assert rel_err(dft_forward(p, x), fwd) <= 1e-12
+        assert rel_err(dft_inverse(p, x), inv) <= 1e-12
+
+    def test_dft_matrix_is_read_only_and_shared(self):
+        f = dft._dft_matrix(8, -1)
+        assert f is dft._dft_matrix(8, -1) and not f.flags.writeable
+        assert np.array_equal(dft._dft_matrix(8, +1), np.conj(f))
+
+    # one stage (16), an odd (1000, 3) and an even (2^16, 4) stage count,
+    # and Bluestein (1009), each from a strided, reversed and real view
+    @pytest.mark.parametrize("n", [16, 1000, 2**16, 1009])
+    def test_strided_input_gives_the_bits_of_its_contiguous_copy(self, n):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        p = plan(n)
+        for view in (z[::2], z[n:][::-1], z.real[1::2]):
+            for fn in (dft_forward, dft_inverse):
+                assert fn(p, view).tobytes() == fn(p, view.copy()).tobytes()
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    """The stage products run in BLAS zgemm; one BLAS thread gives the bits
+    of the default thread count.  (A different BLAS CPU kernel, chosen
+    with OPENBLAS_CORETYPE, may differ in the last ulp.)"""
+    script = textwrap.dedent("""
+        import hashlib, sys
+        import numpy as np
+        from hxkit import Signal, hilbert_first
+        from hxkit.dft import dft_forward, plan
+
+        for n in (1 << 17, 100_000, 3027):
+            rng = np.random.default_rng(n)
+            x = rng.standard_normal(n)
+            z = x + 1j * rng.standard_normal(n)
+            out = dft_forward(plan(n), z).tobytes() + hilbert_first(Signal(x)).samples.tobytes()
+            print(hashlib.sha256(out).hexdigest())
+    """)
+    src = str(Path(dft.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = []
+    for n in (1 << 17, 100_000, 3027):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        z = x + 1j * rng.standard_normal(n)
+        out = dft_forward(plan(n), z).tobytes() + hilbert_first(Signal(x)).samples.tobytes()
+        want.append(hashlib.sha256(out).hexdigest())
+    assert proc.stdout.split() == want
