@@ -1,4 +1,3 @@
-import hashlib
 import math
 import os
 import subprocess
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hxkit import Signal, dft, hilbert_first
+from hxkit import dft
 from hxkit.dft import (
     BLUESTEIN,
     STOCKHAM,
@@ -387,12 +386,8 @@ class TestWorkspace:
         assert not errors and not mismatches
 
 
-def is_stage_radix(r):
-    return 2 <= r <= 32 and is_five_smooth(r)
-
-
 @given(a=st.integers(0, 24), b=st.integers(0, 15), c=st.integers(0, 10),
-       other=st.sampled_from([1, 1, 7, 11, 49, 1009, 131_071]))
+       other=st.sampled_from([1, 7, 11, 49, 1009, 131_071]))
 @settings(max_examples=200, deadline=None)
 def test_property_radices_split_five_smooth_sizes(a, b, c, other):
     n = 2**a * 3**b * 5**c * other
@@ -401,7 +396,7 @@ def test_property_radices_split_five_smooth_sizes(a, b, c, other):
         assert got is None
         return
     assert math.prod(got) == n
-    assert all(is_stage_radix(r) for r in got)
+    assert all(2 <= r <= 32 and is_five_smooth(r) for r in got)
     assert got == sorted(got, reverse=True)
 
 
@@ -478,7 +473,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
     of the default thread count.  (A different BLAS CPU kernel, chosen
     with OPENBLAS_CORETYPE, may differ in the last ulp.)"""
     script = textwrap.dedent("""
-        import hashlib, sys
+        import hashlib
         import numpy as np
         from hxkit import Signal, hilbert_first
         from hxkit.dft import dft_forward, plan
@@ -497,10 +492,5 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     want = []
-    for n in (1 << 17, 100_000, 3027):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal(n)
-        z = x + 1j * rng.standard_normal(n)
-        out = dft_forward(plan(n), z).tobytes() + hilbert_first(Signal(x)).samples.tobytes()
-        want.append(hashlib.sha256(out).hexdigest())
+    exec(script, {"print": want.append})  # the same script in this process
     assert proc.stdout.split() == want
