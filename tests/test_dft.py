@@ -468,6 +468,76 @@ class TestStages:
                 assert fn(p, view).tobytes() == fn(p, view.copy()).tobytes()
 
 
+@lru_cache(maxsize=None)
+def _tile_case(n):
+    """Input, one-sided bins and the direct-sum results for TestTiles."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    spectrum = np.zeros(2 * n, dtype=np.complex128)
+    spectrum[: n + 1] = v
+    want = (dft_direct_reference(x, "forward"), dft_direct_reference(x, "inverse"),
+            dft_direct_reference(spectrum, "inverse"))
+    return x, v, want
+
+
+def _tiled_stockham(tile):
+    """A stand-in for ``dft._stockham`` that writes each stage out in tiles
+    of ``tile`` elements of its (m, s) index space, by explicit index
+    arithmetic: y[(p*r + j)*s + q] = T[j, p*s + q] * w[j-1, p] with T the
+    stage's whole matrix product (the BLAS product's bits depend on its
+    shape, so it is not cut)."""
+
+    def stockham(x, stages, sign, out=None):
+        x = np.array(x, dtype=np.complex128)
+        n, s = x.shape[0], 1
+        for w in stages:
+            r, m = w.shape[0] + 1, w.shape[1]
+            t = np.matmul(dft._dft_matrix(r, sign), x.reshape(r, m * s))
+            y = np.empty(n, dtype=np.complex128)
+            for a in range(0, m * s, tile):
+                k = np.arange(a, min(a + tile, m * s))
+                p, q = np.divmod(k, s)
+                y[p * r * s + q] = t[0, k]
+                for j in range(1, r):
+                    y[(p * r + j) * s + q] = t[j, k] if m == 1 else t[j, k] * w[j - 1, p, 0]
+            x = y
+            s *= r
+        if out is None:
+            out = np.empty(n, dtype=np.complex128)
+        out[...] = x
+        return out
+
+    return stockham
+
+
+class TestTiles:
+    """The engine runs each stage whole, with the (m, r, s) output read
+    through views; every tiling of a stage's (m, s) index space, written
+    out by explicit index arithmetic, gives its bits."""
+
+    # radix 16 x 8 (128), 27 x 9 (3^5), 25 x 25 (5^4), 15 x 10 (150),
+    # 16 x 15 (240), 30 x 24 (720), 10 x 10 x 10 (1000) and a Bluestein
+    # size (1009, pad 2025 = [15, 15, 9]).  Tiles of 1 to 64 elements cut
+    # the later stages, where s >= the tile, into runs of q under a single
+    # twiddle column; only the last stage (m = 1) has no twiddles
+    @pytest.mark.parametrize("n", [128, 243, 625, 150, 240, 720, 1000, 1009])
+    @pytest.mark.parametrize("tile", [1, 2, 3, 8, 64])
+    def test_tiled_stages_match_whole_stages_bit_for_bit(self, monkeypatch, tile, n):
+        x, v, want = _tile_case(n)
+
+        def run():
+            p = plan(n)  # a Bluestein plan transforms its chirp on these stages too
+            return dft_forward(p, x), dft_inverse(p, x), dft_inverse_halfband(p, v)
+
+        whole = run()
+        monkeypatch.setattr(dft, "_stockham", _tiled_stockham(tile))
+        tiled = run()
+        for got, ref, oracle in zip(tiled, whole, want):
+            assert got.tobytes() == ref.tobytes()
+            assert rel_err(ref, oracle) <= 1e-12
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count():
     """The stage products run in BLAS zgemm; one BLAS thread gives the bits
     of the default thread count.  (A different BLAS CPU kernel, chosen
