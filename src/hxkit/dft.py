@@ -16,7 +16,11 @@ fewest stages of 5-smooth radices up to 32.  Each stage is written as a
 Kronecker factor (Van Loan 1992, "Computational Frameworks for the FFT"):
 one product of the small r-point DFT matrix with the data read as
 (r, n/r), which numpy runs through BLAS zgemm, then one twiddle pass.  The
-spectrum comes out in natural order, so there is no bit-reversal gather.
+first stage takes the data transposed instead, as the four-step FFT does
+(Bailey 1990, "FFTs in external or hierarchical memory"), so that its
+product lands in output order and its twiddle pass is one contiguous
+multiply.  The spectrum comes out in natural order, so there is no
+bit-reversal gather.
 The stages ping-pong between the caller's output and one per-thread work
 row, with the parity chosen so that the last stage lands in the output,
 and each product goes to a per-thread scratch row, so a warmed transform
@@ -71,9 +75,10 @@ class DftPlan:
     size: int
     strategy: str
     # Stockham stages (populated for 5-smooth sizes, and for the padded
-    # 5-smooth transform inside a Bluestein plan): one twiddle table of
-    # shape (r-1, m, 1) per full-array pass, r the radix, m = the stage's
-    # remaining length / r
+    # 5-smooth transform inside a Bluestein plan): one twiddle table per
+    # full-array pass, r the radix, m = the stage's remaining length / r;
+    # the first stage's is (m, r) with its column of ones, each later
+    # stage's (r-1, m, 1), n + m0 - 1 values in all
     stages_fwd: tuple[np.ndarray, ...] = field(default=(), repr=False)
     stages_inv: tuple[np.ndarray, ...] = field(default=(), repr=False)
     # Bluestein tables
@@ -161,11 +166,16 @@ def _dft_matrix(r: int, sign: int) -> np.ndarray:
 
 
 def _stage_tables(n: int, radices: list[int]) -> tuple[np.ndarray, ...]:
-    """Forward twiddles exp(-2*pi*i*j*p/L), 0 < j < r, p < m, of each stage
-    of length L = r*m, as (r-1, m, 1) tables."""
-    out = []
-    length = n
-    for r in radices:
+    """Forward twiddles exp(-2*pi*i*j*p/L), p < m, of each stage of length
+    L = r*m: the first stage's as one (m, r) table over 0 <= j < r (its
+    column j = 0 all ones), each later stage's as an (r-1, m, 1) table over
+    0 < j < r.  That is n + m0 - 1 values, m0 = n / the first radix."""
+    if not radices:
+        return ()
+    m = n // radices[0]
+    out = [_unit_roots(np.outer(np.arange(m), np.arange(radices[0])), n, -1)]
+    length = m
+    for r in radices[1:]:
         m = length // r
         e = np.arange(1, r)[:, None] * np.arange(m)[None, :]
         out.append(_unit_roots(e, length, -1)[:, :, None])
@@ -240,12 +250,16 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
     natural order.
 
     A stage is one matrix product and one twiddle pass (Van Loan 1992,
-    "Computational Frameworks for the FFT"): T = F_r @ x read as
-    (r, m*s), with F_r the r-point DFT matrix (:func:`_dft_matrix`), which
-    numpy hands to BLAS zgemm; then y[:, 0] = T[0] and y[:, j] =
-    T[j] * w[j-1] for 0 < j < r, one 2-d multiply per j.  T lives in the
-    per-thread scratch row.  The last stage has no twiddles, so its product
-    is written straight into y.
+    "Computational Frameworks for the FFT"), with F_r the r-point DFT
+    matrix (:func:`_dft_matrix`), which numpy hands to BLAS zgemm.  The
+    first stage (s = 1) computes y read as (m, r) = (x read as (r, m)).T
+    @ F_r straight into y, since F_r is symmetric and BLAS reads the
+    transposed operand in place, then multiplies y by its (m, r) twiddle
+    table in place, one contiguous pass.  Each later stage computes T =
+    F_r @ x read as (r, m*s) into the per-thread scratch row, then y[:, 0]
+    = T[0] and y[:, j] = T[j] * w[j-1] for 0 < j < r, one 2-d multiply
+    per j.  The last stage has no twiddles, so its product is written
+    straight into y.
 
     The stages alternate between ``out`` (a new array if None; any 1-d
     view, strided or not) and the work row of the per-thread workspace,
@@ -264,8 +278,15 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
         return out
     work, scratch = _workspace(n)[:2]
     buffers = (out, work) if len(stages) % 2 else (work, out)
-    s = 1
-    for i, w in enumerate(stages):
+    m, r = stages[0].shape
+    f, y = _dft_matrix(r, sign), buffers[0]
+    if m == 1:
+        np.matmul(f, x.reshape(r, 1), out=y.reshape(r, 1))
+    else:
+        t = np.matmul(x.reshape(r, m).T, f, out=y.reshape(m, r))
+        t *= stages[0]
+    x, s = y, r
+    for i, w in enumerate(stages[1:], 1):
         r, m = w.shape[0] + 1, w.shape[1]
         f, y = _dft_matrix(r, sign), buffers[i % 2]
         if m == 1:
@@ -301,10 +322,10 @@ def _bluestein(x: np.ndarray, p: DftPlan, out: np.ndarray, sign: int) -> None:
     m = pad.size
     b = _workspace(m, 3)[2]
     a = _input_slot(pad, b)
+    a[:n] = x  # a real x in the chirp product would widen in a cast buffer
     if sign > 0:
-        np.multiply(np.conjugate(x, out=a[:n]), p.chirp, out=a[:n])
-    else:
-        np.multiply(x, p.chirp, out=a[:n])
+        np.conjugate(a[:n], out=a[:n])
+    a[:n] *= p.chirp
     a[n:] = 0.0
     _stockham(a, pad.stages_fwd, -1, b)
     A = np.multiply(b, p.chirp_spectrum, out=_input_slot(pad, b))
@@ -375,17 +396,25 @@ def dft_direct_reference(x, direction: str = "forward") -> np.ndarray:
     if direction not in ("forward", "inverse"):
         raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     n = v.shape[0]
-    k = np.arange(n, dtype=np.int64)
+    # every k*l < n^2 fits int32 for n <= 46341, which halves the index
+    # traffic of the int64 products
+    k = np.arange(n, dtype=np.int32 if (n - 1) ** 2 < 2**31 else np.int64)
     sign = -1.0 if direction == "forward" else 1.0
-    # the kernel is built in blocks of rows of at most 2^20 entries, so
-    # memory stays O(N) however large N is
     # reduce k*l mod n before forming the angle: keeps the kernel accurate
     # for every N without large-angle trig loss
     roots = np.exp((sign * 2j * np.pi / n) * k)
-    rows = max(1, (1 << 20) // n)
+    # the kernel is built in one preallocated block of rows of at most 2^20
+    # entries, so memory stays O(N) however large N is
+    rows = min(n, max(1, (1 << 20) // n))
+    index = np.empty((rows, n), dtype=k.dtype)
+    kernel = np.empty((rows, n), dtype=np.complex128)
     y = np.empty(n, dtype=np.complex128)
     for lo in range(0, n, rows):
-        y[lo:lo + rows] = roots[(k[lo:lo + rows, None] * k[None, :]) % n] @ v
+        i, w = index[: n - lo], kernel[: n - lo]
+        np.multiply(k[lo:lo + rows, None], k, out=i)
+        np.remainder(i, n, out=i)
+        np.take(roots, i, out=w, mode="clip")  # every index is in range
+        np.matmul(w, v, out=y[lo:lo + rows])
     return y if direction == "forward" else y / n
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -291,10 +292,11 @@ class TestWorkspace:
     # when every stage's output and the butterflies' temporaries were
     # allocated, these peaks were 3.00x, 3.00x and 3.63x the result; here
     # they are 1.13x or less, all of it numpy's 128 KiB iterator buffer for
-    # the strided twiddle writes, which does not grow with n.  Real input
-    # is widened in the buffer the first stage does not write: the output
-    # for 2^16 (4 stages), the workspace row for 2^15 (3); in a temporary,
-    # the peak was 2.06x the result
+    # the later stages' strided twiddle writes, which does not grow with n
+    # (the first stage's twiddle pass is contiguous and in place).  Real
+    # input is widened in the buffer the first stage does not write: the
+    # output for 2^16 (4 stages), the workspace row for 2^15 (3); in a
+    # temporary, the peak was 2.06x the result
     @pytest.mark.parametrize(
         "kind", ["forward", "inverse", "halfband", "real-forward", "real-forward-odd-stages"]
     )
@@ -326,15 +328,17 @@ class TestWorkspace:
         # n = 3027 = 3 * 1009 pads to 6075 = 3^5 * 5^2.  With a zero-filled
         # padded array, a second one for the padded forward transform and
         # the conj(x) and chirp/m temporaries the peak was 6.40x the result.
-        # Here it is 1.32x for complex input, the result and numpy's
-        # iterator buffers for the pad's strided twiddle writes, and 2.01x
-        # for real input, whose chirp product widens x in one more buffer
+        # Here it is 1.32x, the result and numpy's iterator buffers for the
+        # pad's strided twiddle writes.  Real input is widened into the
+        # padded row before the chirp product; widened inside that product,
+        # through numpy's cast buffer, it peaked at 2.01x
         n = 3027
         p = plan(n)
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
         z = x + 1j * rng.standard_normal(n)
-        for call in (lambda: dft_forward(p, x), lambda: dft_inverse(p, z)):
+        for call, bound in ((lambda: dft_forward(p, x), 1.5),
+                            (lambda: dft_inverse(p, z), 2.5)):
             tracemalloc.start()
             try:
                 call()
@@ -344,7 +348,7 @@ class TestWorkspace:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak <= 2.5 * out.nbytes
+            assert peak <= bound * out.nbytes
 
     def test_two_threads_match_one_thread_bit_for_bit(self):
         sizes = (1 << 12, 3**7, 1009)
@@ -419,6 +423,23 @@ def _stage_case(n):
     return x, fwd, np.roll(fwd[::-1], 1) / n
 
 
+def _first_radix_sizes():
+    """For each radix r, the smallest size up to 32^2 whose split starts
+    with r and has more stages, so that r runs as the first stage's
+    transposed product with m > 1.  A split led by r <= 5 has every radix
+    <= 5, and its last two would merge into one radix <= 25, so no
+    fewest-stage split starts with one."""
+    sizes = {}
+    for n in range(2, 32 * 32 + 1):
+        split = dft._radices(n)
+        if split and len(split) > 1:
+            sizes.setdefault(split[0], n)
+    return sizes
+
+
+_FIRST_RADIX_SIZES = _first_radix_sizes()
+
+
 class TestStages:
     """Each stage is one matrix product and one twiddle pass; the engine
     stays pinned to the direct sum for every radix and stage count."""
@@ -441,6 +462,38 @@ class TestStages:
         x, fwd, inv = _stage_case(n)
         assert rel_err(dft_forward(p, x), fwd) <= 1e-12
         assert rel_err(dft_inverse(p, x), inv) <= 1e-12
+
+    def test_every_radix_above_5_leads_a_multi_stage_split(self):
+        assert sorted(_FIRST_RADIX_SIZES) == [r for r in range(6, 33) if is_five_smooth(r)]
+
+    @pytest.mark.parametrize("r, n", sorted(_FIRST_RADIX_SIZES.items()))
+    def test_first_stage_radix_matches_direct_sum(self, r, n):
+        p = plan(n)
+        m = n // r
+        assert p.stages_fwd[0].shape == (m, r) and m > 1
+        x, fwd, inv = _stage_case(n)
+        assert rel_err(dft_forward(p, x), fwd) <= 1e-12
+        assert rel_err(dft_inverse(p, x), inv) <= 1e-12
+
+    # the first stage keeps one (m0, r0) table with its column of ones and
+    # each later stage an (r-1, m, 1) one: n + m0 - 1 values per direction,
+    # and the plan holds no other array.  Single stage (32), 2 to 4
+    # stages, a Bluestein pad
+    @pytest.mark.parametrize("n", [32, 36, 1000, 2**17, 100_000, 1009])
+    def test_stage_tables_hold_n_plus_m0_minus_1_values(self, n):
+        p = plan(n)
+        p = p.pad_plan or p
+        r0 = dft._radices(p.size)[0]
+        m0 = p.size // r0
+        assert p.stages_fwd[0].shape == (m0, r0)
+        for tables in (p.stages_fwd, p.stages_inv):
+            assert sum(w.size for w in tables) == p.size + m0 - 1
+        for w, v in zip(p.stages_fwd, p.stages_inv):
+            assert np.array_equal(v, np.conj(w))
+        held = [getattr(p, f.name) for f in dataclasses.fields(p)]
+        arrays = [a for v in held for a in (v if isinstance(v, tuple) else (v,))
+                  if isinstance(a, np.ndarray)]
+        assert sum(a.size for a in arrays) == 2 * (p.size + m0 - 1)
 
     # pads 2025 = [15, 15, 9] and 6075 = [27, 15, 15]
     @pytest.mark.parametrize("n", [1009, 3027])
@@ -483,24 +536,35 @@ def _tile_case(n):
 
 def _tiled_stockham(tile):
     """A stand-in for ``dft._stockham`` that writes each stage out in tiles
-    of ``tile`` elements of its (m, s) index space, by explicit index
-    arithmetic: y[(p*r + j)*s + q] = T[j, p*s + q] * w[j-1, p] with T the
-    stage's whole matrix product (the BLAS product's bits depend on its
-    shape, so it is not cut)."""
+    of ``tile`` elements by explicit index arithmetic, with T the stage's
+    whole matrix product (the BLAS product's bits depend on its shape, so
+    it is not cut).  The first stage (s = 1, m > 1) takes T = x read as
+    (r, m), transposed, times F_r, already in output order, and writes
+    y[p*r + j] = T[p, j] * w[p, j] over tiles of its (m, r) index space;
+    every later stage writes y[(p*r + j)*s + q] = T[j, p*s + q] *
+    w[j-1, p] with T = F_r @ x read as (r, m*s), over tiles of its (m, s)
+    index space."""
 
     def stockham(x, stages, sign, out=None):
         x = np.array(x, dtype=np.complex128)
         n, s = x.shape[0], 1
-        for w in stages:
-            r, m = w.shape[0] + 1, w.shape[1]
-            t = np.matmul(dft._dft_matrix(r, sign), x.reshape(r, m * s))
+        for i, w in enumerate(stages):
+            m, r = w.shape if i == 0 else (w.shape[1], w.shape[0] + 1)
+            f = dft._dft_matrix(r, sign)
             y = np.empty(n, dtype=np.complex128)
-            for a in range(0, m * s, tile):
-                k = np.arange(a, min(a + tile, m * s))
-                p, q = np.divmod(k, s)
-                y[p * r * s + q] = t[0, k]
-                for j in range(1, r):
-                    y[(p * r + j) * s + q] = t[j, k] if m == 1 else t[j, k] * w[j - 1, p, 0]
+            if i == 0 and m > 1:
+                t = np.matmul(x.reshape(r, m).T, f)
+                for a in range(0, n, tile):
+                    p, j = np.divmod(np.arange(a, min(a + tile, n)), r)
+                    y[p * r + j] = t[p, j] * w[p, j]
+            else:
+                t = np.matmul(f, x.reshape(r, m * s))
+                for a in range(0, m * s, tile):
+                    k = np.arange(a, min(a + tile, m * s))
+                    p, q = np.divmod(k, s)
+                    y[p * r * s + q] = t[0, k]
+                    for j in range(1, r):
+                        y[(p * r + j) * s + q] = t[j, k] if m == 1 else t[j, k] * w[j - 1, p, 0]
             x = y
             s *= r
         if out is None:
@@ -513,14 +577,16 @@ def _tiled_stockham(tile):
 
 class TestTiles:
     """The engine runs each stage whole, with the (m, r, s) output read
-    through views; every tiling of a stage's (m, s) index space, written
-    out by explicit index arithmetic, gives its bits."""
+    through views; every tiling of a stage's twiddle pass, over (m, r) for
+    the first stage and (m, s) for the later ones, written out by explicit
+    index arithmetic, gives its bits."""
 
     # radix 16 x 8 (128), 27 x 9 (3^5), 25 x 25 (5^4), 15 x 10 (150),
     # 16 x 15 (240), 30 x 24 (720), 10 x 10 x 10 (1000) and a Bluestein
     # size (1009, pad 2025 = [15, 15, 9]).  Tiles of 1 to 64 elements cut
-    # the later stages, where s >= the tile, into runs of q under a single
-    # twiddle column; only the last stage (m = 1) has no twiddles
+    # the first stage's (m, r) table across its rows, and the later stages,
+    # where s >= the tile, into runs of q under a single twiddle column;
+    # only the last stage (m = 1) has no twiddles
     @pytest.mark.parametrize("n", [128, 243, 625, 150, 240, 720, 1000, 1009])
     @pytest.mark.parametrize("tile", [1, 2, 3, 8, 64])
     def test_tiled_stages_match_whole_stages_bit_for_bit(self, monkeypatch, tile, n):
