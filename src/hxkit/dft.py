@@ -246,8 +246,7 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
     y[p, j, q] = w_(r*m)^(j*p) * sum_t x[t, p, q] * w_r^(j*t), w_L =
     exp(sign*2*pi*i/L).  Each of the s interleaved sub-transforms of
     length r*m becomes r of length m, and after the last stage (m = 1,
-    where every twiddle is 1 and none is applied) the spectrum is in
-    natural order.
+    where every twiddle is 1) the spectrum is in natural order.
 
     A stage is one matrix product and one twiddle pass (Van Loan 1992,
     "Computational Frameworks for the FFT"), with F_r the r-point DFT
@@ -255,11 +254,12 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
     first stage (s = 1) computes y read as (m, r) = (x read as (r, m)).T
     @ F_r straight into y, since F_r is symmetric and BLAS reads the
     transposed operand in place, then multiplies y by its (m, r) twiddle
-    table in place, one contiguous pass.  Each later stage computes T =
+    table in place, one contiguous pass; a single stage (m = 1) does the
+    same with its (1, r) table of ones.  Each later stage computes T =
     F_r @ x read as (r, m*s) into the per-thread scratch row, then y[:, 0]
     = T[0] and y[:, j] = T[j] * w[j-1] for 0 < j < r, one 2-d multiply
-    per j.  The last stage has no twiddles, so its product is written
-    straight into y.
+    per j.  The last of several stages has no twiddles, so its product is
+    written straight into y.
 
     The stages alternate between ``out`` (a new array if None; any 1-d
     view, strided or not) and the work row of the per-thread workspace,
@@ -280,11 +280,8 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
     buffers = (out, work) if len(stages) % 2 else (work, out)
     m, r = stages[0].shape
     f, y = _dft_matrix(r, sign), buffers[0]
-    if m == 1:
-        np.matmul(f, x.reshape(r, 1), out=y.reshape(r, 1))
-    else:
-        t = np.matmul(x.reshape(r, m).T, f, out=y.reshape(m, r))
-        t *= stages[0]
+    t = np.matmul(x.reshape(r, m).T, f, out=y.reshape(m, r))
+    t *= stages[0]
     x, s = y, r
     for i, w in enumerate(stages[1:], 1):
         r, m = w.shape[0] + 1, w.shape[1]

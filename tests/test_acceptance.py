@@ -14,15 +14,16 @@ in each failure message:
   edges) exceeds the 5e-3-relative budgets and no grid refinement
   shrinks it.  The gap itself is reproduced to 1e-6 by an independent
   lattice-image oracle, so it is understood, not mysterious.
-* 6: the bound is below what the arithmetic allows.  A one-sided
-  spectrum has N/2 nonzero bins, and an FFT pruned to N/2 nonzero inputs
-  still costs about N*log2(N/2) operations against N*log2(N) for the
-  full inverse (Sorensen & Burrus 1993, "Efficient computation of the DFT
-  with only a subset of input or output points"), so the second/first
-  ratio cannot fall much below (log2 N - 1)/log2 N = 17/18 ~ 0.944 at
-  N = 2^18, whatever the implementation.  On the matrix-stage engine two
-  bare length-2^17 inverses already take about 0.97 of one 2^18 inverse,
-  before the half-band split and interleave.
+* 6: a one-sided spectrum has N/2 nonzero bins, and pruning them from a
+  radix-2 FFT saves only about 1/log2 N of its operations: it still costs
+  about N*log2(N/2) against N*log2(N) for the full inverse (Sorensen &
+  Burrus 1993, "Efficient computation of the DFT with only a subset of
+  input or output points").  The operation count therefore suggests a
+  second/first ratio near (log2 N - 1)/log2 N = 17/18 ~ 0.944 at
+  N = 2^18, above the 0.87 bound.  On the matrix-stage engine two bare
+  length-2^17 inverses took about 0.97 of one 2^18 inverse, and
+  ``dft_inverse_halfband``, with its half-band split and interleave,
+  1.13-1.14 of it.
 """
 
 import math
@@ -234,11 +235,11 @@ def test_criterion_6_benchmark_direction():
     assert ratio <= 0.87, (
         f"second-form inverse measured {100 * (ratio - 1):+.1f}% vs first form "
         f"(need >= 15% faster). Both pipelines are correct to >= 12 digits "
-        f"(criterion 5). The bound is out of reach by arithmetic: an FFT pruned "
-        f"to the N/2 nonzero bins of a one-sided spectrum still costs about "
-        f"N*log2(N/2) operations against N*log2(N) (Sorensen & Burrus 1993), "
-        f"which caps the saving at a ratio of about 17/18 = 0.944 at N = 2^18; "
-        f"the half-band split and interleave add their own passes on top."
+        f"(criterion 5). Pruning the N/2 zero bins of a one-sided spectrum "
+        f"saves only about 1/log2 N of a radix-2 FFT's operations, N*log2(N/2) "
+        f"against N*log2(N) (Sorensen & Burrus 1993), so the operation count "
+        f"suggests a ratio near 17/18 = 0.944 at N = 2^18; the half-band split "
+        f"and interleave add their own passes on top."
     )
 
 

@@ -538,7 +538,7 @@ def _tiled_stockham(tile):
     """A stand-in for ``dft._stockham`` that writes each stage out in tiles
     of ``tile`` elements by explicit index arithmetic, with T the stage's
     whole matrix product (the BLAS product's bits depend on its shape, so
-    it is not cut).  The first stage (s = 1, m > 1) takes T = x read as
+    it is not cut).  The first stage (s = 1) takes T = x read as
     (r, m), transposed, times F_r, already in output order, and writes
     y[p*r + j] = T[p, j] * w[p, j] over tiles of its (m, r) index space;
     every later stage writes y[(p*r + j)*s + q] = T[j, p*s + q] *
@@ -552,7 +552,7 @@ def _tiled_stockham(tile):
             m, r = w.shape if i == 0 else (w.shape[1], w.shape[0] + 1)
             f = dft._dft_matrix(r, sign)
             y = np.empty(n, dtype=np.complex128)
-            if i == 0 and m > 1:
+            if i == 0:
                 t = np.matmul(x.reshape(r, m).T, f)
                 for a in range(0, n, tile):
                     p, j = np.divmod(np.arange(a, min(a + tile, n)), r)
@@ -586,7 +586,7 @@ class TestTiles:
     # size (1009, pad 2025 = [15, 15, 9]).  Tiles of 1 to 64 elements cut
     # the first stage's (m, r) table across its rows, and the later stages,
     # where s >= the tile, into runs of q under a single twiddle column;
-    # only the last stage (m = 1) has no twiddles
+    # only the last of several stages (m = 1) has no twiddles
     @pytest.mark.parametrize("n", [128, 243, 625, 150, 240, 720, 1000, 1009])
     @pytest.mark.parametrize("tile", [1, 2, 3, 8, 64])
     def test_tiled_stages_match_whole_stages_bit_for_bit(self, monkeypatch, tile, n):
