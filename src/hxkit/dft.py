@@ -24,10 +24,13 @@ bit-reversal gather.
 The stages ping-pong between the caller's output and one per-thread work
 row, with the parity chosen so that the last stage lands in the output,
 and each product goes to a per-thread scratch row, so a warmed transform
-allocates nothing but its result.  Every other size takes the
-chirp-based (Bluestein) reduction to a cyclic convolution, padded to the
-smallest 5-smooth length >= 2n-1 and run on the same stages in the pad's
-workspace, so it too allocates only its result.  Both act on one 1-d
+allocates nothing but its result.  Only forward stages exist: the inverse
+lands them in the work row, and its 1/N pass reads that row back into the
+output at -k mod N, x[k] = DFT(X)[-k mod N] / N (Van Loan 1992).  Every
+other size takes the chirp-based (Bluestein) reduction to a cyclic
+convolution, padded to the smallest 5-smooth length >= 2n-1 and run on
+the same stages in the pad's workspace, so it too allocates only its
+result.  Both act on one 1-d
 sequence; there is no batch axis.  :func:`dft_direct_reference` evaluates
 the defining sums in O(N^2) and is the oracle the fast paths are tested
 against.
@@ -74,13 +77,12 @@ class DftPlan:
 
     size: int
     strategy: str
-    # Stockham stages (populated for 5-smooth sizes, and for the padded
-    # 5-smooth transform inside a Bluestein plan): one twiddle table per
-    # full-array pass, r the radix, m = the stage's remaining length / r;
-    # the first stage's is (m, r) with its column of ones, each later
-    # stage's (r-1, m, 1), n + m0 - 1 values in all
+    # Stockham stages, run by both directions (populated for 5-smooth
+    # sizes, and for the padded 5-smooth transform inside a Bluestein
+    # plan): one twiddle table per full-array pass, r the radix, m = the
+    # stage's remaining length / r; the first stage's is (m, r) with its
+    # column of ones, each later stage's (r-1, m, 1), n + m0 - 1 values in all
     stages_fwd: tuple[np.ndarray, ...] = field(default=(), repr=False)
-    stages_inv: tuple[np.ndarray, ...] = field(default=(), repr=False)
     # Bluestein tables
     pad_plan: "DftPlan | None" = field(default=None, repr=False)
     chirp: np.ndarray | None = field(default=None, repr=False)
@@ -145,22 +147,22 @@ def _next_smooth(n: int) -> int:
     return best
 
 
-def _unit_roots(e: np.ndarray, n: int, sign: int) -> np.ndarray:
-    """exp(sign*2*pi*i*e/n), with e reduced mod n to the residue nearest 0.
+def _unit_roots(e: np.ndarray, n: int) -> np.ndarray:
+    """exp(-2*pi*i*e/n), with e reduced mod n to the residue nearest 0.
 
     The reduction keeps every angle within [-pi, pi], where it is formed
     with the least rounding.
     """
     e = e % n
     e = np.where(2 * e > n, e - n, e)
-    return np.exp((sign * 2j * np.pi / n) * e)
+    return np.exp((-2j * np.pi / n) * e)
 
 
-@lru_cache(maxsize=2 * len(_RADICES))
-def _dft_matrix(r: int, sign: int) -> np.ndarray:
-    """The r-point DFT as a read-only (r, r) matrix, exp(sign*2*pi*i*j*t/r)."""
+@lru_cache(maxsize=len(_RADICES))
+def _dft_matrix(r: int) -> np.ndarray:
+    """The r-point DFT as a read-only (r, r) matrix, exp(-2*pi*i*j*t/r)."""
     e = np.arange(r)
-    f = _unit_roots(np.outer(e, e), r, sign)
+    f = _unit_roots(np.outer(e, e), r)
     f.setflags(write=False)
     return f
 
@@ -173,12 +175,12 @@ def _stage_tables(n: int, radices: list[int]) -> tuple[np.ndarray, ...]:
     if not radices:
         return ()
     m = n // radices[0]
-    out = [_unit_roots(np.outer(np.arange(m), np.arange(radices[0])), n, -1)]
+    out = [_unit_roots(np.outer(np.arange(m), np.arange(radices[0])), n)]
     length = m
     for r in radices[1:]:
         m = length // r
         e = np.arange(1, r)[:, None] * np.arange(m)[None, :]
-        out.append(_unit_roots(e, length, -1)[:, :, None])
+        out.append(_unit_roots(e, length)[:, :, None])
         length = m
     return tuple(out)
 
@@ -189,22 +191,16 @@ def plan(n: int) -> DftPlan:
     Sizes 2^a * 3^b * 5^c get the Stockham strategy, every other size the
     chirp-based (Bluestein) strategy on a 5-smooth padded length.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidSizeError(f"transform size must be a positive integer, got {n!r}")
     n = int(n)
     radices = _radices(n)
     if radices is not None:
-        fwd = _stage_tables(n, radices)
-        return DftPlan(
-            size=n,
-            strategy=STOCKHAM,
-            stages_fwd=fwd,
-            stages_inv=tuple(np.conj(w) for w in fwd),
-        )
+        return DftPlan(size=n, strategy=STOCKHAM, stages_fwd=_stage_tables(n, radices))
     m = _next_smooth(2 * n - 1)
     # exp(-i*pi*k^2/n) is periodic in k^2 with period 2n
     k = np.arange(n, dtype=np.int64)
-    chirp = _unit_roots(k * k, 2 * n, -1)
+    chirp = _unit_roots(k * k, 2 * n)
     pad_plan = plan(m)
     b = np.zeros(m, dtype=np.complex128)
     b[:n] = np.conj(chirp)
@@ -214,7 +210,7 @@ def plan(n: int) -> DftPlan:
         strategy=BLUESTEIN,
         pad_plan=pad_plan,
         chirp=chirp,
-        chirp_spectrum=_stockham(b, pad_plan.stages_fwd, -1),
+        chirp_spectrum=_stockham(b, pad_plan.stages_fwd, np.empty_like(b), _workspace(m)[0]),
     )
 
 
@@ -237,16 +233,16 @@ def _workspace(n: int, rows: int = 2) -> np.ndarray:
     return buf
 
 
-def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Self-sorting mixed-radix transform of a 1-d sequence into ``out``.
+def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
+              partner: np.ndarray) -> np.ndarray:
+    """Self-sorting mixed-radix forward transform of a 1-d sequence into ``out``.
 
     Stage by stage, with s the product of the radices already done, the
     input is read as (r, m, s) and an (m, r, s) output is written:
     y[p, j, q] = w_(r*m)^(j*p) * sum_t x[t, p, q] * w_r^(j*t), w_L =
-    exp(sign*2*pi*i/L).  Each of the s interleaved sub-transforms of
-    length r*m becomes r of length m, and after the last stage (m = 1,
-    where every twiddle is 1) the spectrum is in natural order.
+    exp(-2*pi*i/L).  Each of the s interleaved sub-transforms of length
+    r*m becomes r of length m, and after the last stage (m = 1, where
+    every twiddle is 1) the spectrum is in natural order.
 
     A stage is one matrix product and one twiddle pass (Van Loan 1992,
     "Computational Frameworks for the FFT"), with F_r the r-point DFT
@@ -261,31 +257,28 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
     per j.  The last of several stages has no twiddles, so its product is
     written straight into y.
 
-    The stages alternate between ``out`` (a new array if None; any 1-d
-    view, strided or not) and the work row of the per-thread workspace,
-    starting with ``out`` for an odd stage count so that the last stage
-    lands in ``out``.  ``x`` is read by the first stage only, so it may be
-    the buffer that stage does not write: ``out`` for an even stage count,
-    the work row (:func:`_input_slot`) for an odd one.  A strided ``x``
-    gives the same result, but its product does not run in BLAS
-    (:func:`_engine_input`).
+    The stages alternate between ``out`` and ``partner`` (two distinct 1-d
+    views, strided or not), starting with ``out`` for an odd stage count
+    so that the last stage lands in ``out``.  ``x`` is read by the first
+    stage only, which writes one of the two, so ``x`` may be the other, or
+    the scratch row, which only later stages write (:func:`_input_slot`).
+    A strided ``x`` gives the same result, but its product does not run in
+    BLAS (:func:`_engine_input`).
     """
     n = x.shape[0]
-    if out is None:
-        out = np.empty(n, dtype=np.complex128)
     if not stages:
         out[...] = x
         return out
-    work, scratch = _workspace(n)[:2]
-    buffers = (out, work) if len(stages) % 2 else (work, out)
+    scratch = _workspace(n)[1]
+    buffers = (out, partner) if len(stages) % 2 else (partner, out)
     m, r = stages[0].shape
-    f, y = _dft_matrix(r, sign), buffers[0]
+    f, y = _dft_matrix(r), buffers[0]
     t = np.matmul(x.reshape(r, m).T, f, out=y.reshape(m, r))
     t *= stages[0]
     x, s = y, r
     for i, w in enumerate(stages[1:], 1):
         r, m = w.shape[0] + 1, w.shape[1]
-        f, y = _dft_matrix(r, sign), buffers[i % 2]
+        f, y = _dft_matrix(r), buffers[i % 2]
         if m == 1:
             np.matmul(f, x.reshape(r, s), out=y.reshape(r, s))
         else:
@@ -300,44 +293,49 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], sign: int,
 
 
 def _input_slot(p: DftPlan, out: np.ndarray) -> np.ndarray:
-    """Where the input of a transform into ``out`` may be built in place."""
-    if p.strategy == STOCKHAM and len(p.stages_fwd) % 2:
-        return _workspace(p.size)[0]
+    """Where the input of a transform into ``out`` may be built in place:
+    the scratch row, which a Stockham first stage does not write."""
+    if p.strategy == STOCKHAM:
+        return _workspace(p.size)[1]
     return out  # Bluestein reads its input before it writes ``out``
 
 
-def _bluestein(x: np.ndarray, p: DftPlan, out: np.ndarray, sign: int) -> None:
-    """Arbitrary-length transform via padded cyclic convolution, into ``out``.
+def _bluestein(x: np.ndarray, p: DftPlan, out: np.ndarray, tail: np.ndarray) -> None:
+    """Arbitrary-length forward transform via padded cyclic convolution.
 
-    The inverse (sign +1, without its 1/n) runs as conj(forward(conj x)).
-    The padded sequence and its spectrum live in the pad's workspace: row 2
-    holds the transforms' output, and each transform's input is built in
-    its :func:`_input_slot`, so the call allocates nothing but ``out``.
+    Bin 0 goes to ``out[0]``, bins 1..n-1 to ``tail`` (``out[1:]``, or
+    ``out[:0:-1]`` for the inverse).  Both padded transforms run forward;
+    the final chirp product reads the convolution off the second, F, as
+    conv[j] = F[-j mod m] / m.  The padded sequence and its spectrum live
+    in the pad's workspace (row 2 the transforms' output, each input built
+    in its :func:`_input_slot`), so the call allocates nothing but ``out``.
     """
     n = p.size
     pad = p.pad_plan
     m = pad.size
-    b = _workspace(m, 3)[2]
+    work, b = _workspace(m, 3)[::2]
     a = _input_slot(pad, b)
     a[:n] = x  # a real x in the chirp product would widen in a cast buffer
-    if sign > 0:
-        np.conjugate(a[:n], out=a[:n])
     a[:n] *= p.chirp
     a[n:] = 0.0
-    _stockham(a, pad.stages_fwd, -1, b)
+    _stockham(a, pad.stages_fwd, b, work)
     A = np.multiply(b, p.chirp_spectrum, out=_input_slot(pad, b))
-    conv = _stockham(A, pad.stages_inv, +1, b)
-    np.multiply(conv[:n], np.divide(p.chirp, m, out=out), out=out)
-    if sign > 0:
-        np.conjugate(out, out=out)
+    F = _stockham(A, pad.stages_fwd, b, work)
+    out[0] = F[0] / m  # chirp[0] = 1
+    np.divide(p.chirp[1:], m, out=tail)
+    np.multiply(F[:m - n:-1], tail, out=tail)
 
 
 def _inverse_into(p: DftPlan, X: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """out[k] = scale * DFT(X)[-k mod n]: the stages land in the work row,
+    with ``out`` their partner, and are read back reversed into ``out``."""
     if p.strategy == STOCKHAM:
-        _stockham(X, p.stages_inv, +1, out)
+        w = _stockham(X, p.stages_fwd, _workspace(p.size)[0], out)
+        out[0] = w[0] * scale
+        np.multiply(w[:0:-1], scale, out=out[1:])
     else:
-        _bluestein(X, p, out, +1)
-    out *= scale
+        _bluestein(X, p, out, out[:0:-1])
+        out *= scale
 
 
 def _as_vector(x, n: int) -> np.ndarray:
@@ -369,9 +367,9 @@ def dft_forward(p: DftPlan, x) -> np.ndarray:
     out = np.empty(p.size, dtype=np.complex128)
     x = _engine_input(p, x, out)
     if p.strategy == STOCKHAM:
-        _stockham(x, p.stages_fwd, -1, out)
+        _stockham(x, p.stages_fwd, out, _workspace(p.size)[0])
     else:
-        _bluestein(x, p, out, -1)
+        _bluestein(x, p, out, out[1:])
     return out
 
 
@@ -418,7 +416,7 @@ def dft_direct_reference(x, direction: str = "forward") -> np.ndarray:
 @lru_cache(maxsize=64)
 def _double_twiddle(nh: int) -> np.ndarray:
     """exp(+2*pi*i*j/(2*nh)) for j < nh, used by the odd-output half."""
-    w = _unit_roots(np.arange(nh), 2 * nh, +1)
+    w = _unit_roots(-np.arange(nh), 2 * nh)
     w.setflags(write=False)
     return w
 

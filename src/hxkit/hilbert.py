@@ -201,7 +201,7 @@ def _odd_first_bins(n: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _pack_twiddles(n: int) -> np.ndarray:
     """-(i/2)*w^k for k <= n/2, w = exp(-2*pi*i/n): the unpack twiddles."""
-    t = -0.5j * _unit_roots(np.arange(n // 2 + 1), n, -1)
+    t = -0.5j * _unit_roots(np.arange(n // 2 + 1), n)
     t.setflags(write=False)
     return t
 
