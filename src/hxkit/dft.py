@@ -14,24 +14,24 @@ runs a self-sorting (Stockham) mixed-radix transform (Cochran et al. 1967;
 Temperton 1983, "Self-sorting mixed-radix fast Fourier transforms") in the
 fewest stages of 5-smooth radices up to 32.  Each stage is written as a
 Kronecker factor (Van Loan 1992, "Computational Frameworks for the FFT"):
-one product of the small r-point DFT matrix with the data read as
-(r, n/r), which numpy runs through BLAS zgemm, then one twiddle pass.  The
-first stage takes the data transposed instead, as the four-step FFT does
-(Bailey 1990, "FFTs in external or hierarchical memory"), so that its
-product lands in output order and its twiddle pass is one contiguous
-multiply.  The spectrum comes out in natural order, so there is no
-bit-reversal gather.
-The stages ping-pong between the caller's output and one per-thread work
+products of r-point DFT matrices with the data, run by BLAS zgemm.  The
+first stage takes the data transposed, as the four-step FFT does (Bailey
+1990, "FFTs in external or hierarchical memory"), so that its product
+lands in output order and its twiddle pass is one contiguous multiply.
+Each later stage folds its twiddles into its matrices, diag(twiddles) @
+F_r, as FFTW's twiddle codelets fold them into the butterfly (Frigo &
+Johnson 2005), and is one batched product with no twiddle pass.  The
+spectrum comes out in natural order, with no bit-reversal gather.  The
+stages ping-pong between the caller's output and one per-thread work
 row, with the parity chosen so that the last stage lands in the output,
-and each product goes to a per-thread scratch row, so a warmed transform
-allocates nothing but its result.  Only forward stages exist: the inverse
-lands them in the work row, and its 1/N pass reads that row back into the
-output at -k mod N, x[k] = DFT(X)[-k mod N] / N (Van Loan 1992).  Every
-other size takes the chirp-based (Bluestein) reduction to a cyclic
-convolution, padded to the smallest 5-smooth length >= 2n-1 and run on
-the same stages in the pad's workspace, so it too allocates only its
-result.  Both act on one 1-d
-sequence; there is no batch axis.  :func:`dft_direct_reference` evaluates
+so a warmed transform allocates nothing but its result.  Only forward
+stages exist: the inverse lands them in the work row, and its 1/N pass
+reads that row back into the output at -k mod N, x[k] = DFT(X)[-k mod N]
+/ N (Van Loan 1992).  Every other size takes the chirp-based (Bluestein)
+reduction to a cyclic convolution, padded to the smallest 5-smooth length
+>= 2n-1 and run on the same stages in the pad's workspace, so it too
+allocates only its result.  Both act on one 1-d sequence; there is no
+batch axis.  :func:`dft_direct_reference` evaluates
 the defining sums in O(N^2) and is the oracle the fast paths are tested
 against.
 
@@ -79,14 +79,21 @@ class DftPlan:
     strategy: str
     # Stockham stages, run by both directions (populated for 5-smooth
     # sizes, and for the padded 5-smooth transform inside a Bluestein
-    # plan): one twiddle table per full-array pass, r the radix, m = the
-    # stage's remaining length / r; the first stage's is (m, r) with its
-    # column of ones, each later stage's (r-1, m, 1), n + m0 - 1 values in all
+    # plan): one table per full-array pass, r the radix, m = the stage's
+    # remaining length / r; the first stage's (m, r) twiddles with their
+    # column of ones, each later stage's (m, r, r) twiddled DFT matrices
+    # (:func:`_stage_tables`)
     stages_fwd: tuple[np.ndarray, ...] = field(default=(), repr=False)
     # Bluestein tables
     pad_plan: "DftPlan | None" = field(default=None, repr=False)
     chirp: np.ndarray | None = field(default=None, repr=False)
     chirp_spectrum: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        # plans are shared through plan caches, so every table is read-only
+        for t in (*self.stages_fwd, self.chirp, self.chirp_spectrum):
+            if t is not None:
+                t.setflags(write=False)
 
     @property
     def bitrev(self) -> None:
@@ -115,9 +122,9 @@ def _radices(n: int) -> list[int] | None:
 
     Each stage is a full pass over the data, so the split has the fewest
     stages; of those it takes the least sum of radices, since a stage of
-    radix r costs r multiply-adds per element in its matrix product and
-    r - 1 twiddle calls.  So 2^17 runs as [32, 16, 16, 16], not
-    [32, 32, 32, 4], and 64 as [8, 8], not [32, 2].
+    radix r costs r multiply-adds per element in its matrix product.  So
+    2^17 runs as [32, 16, 16, 16], not [32, 32, 32, 4], and 64 as [8, 8],
+    not [32, 2].
     """
     m = n
     for p in (2, 3, 5):
@@ -168,10 +175,12 @@ def _dft_matrix(r: int) -> np.ndarray:
 
 
 def _stage_tables(n: int, radices: list[int]) -> tuple[np.ndarray, ...]:
-    """Forward twiddles exp(-2*pi*i*j*p/L), p < m, of each stage of length
-    L = r*m: the first stage's as one (m, r) table over 0 <= j < r (its
-    column j = 0 all ones), each later stage's as an (r-1, m, 1) table over
-    0 < j < r.  That is n + m0 - 1 values, m0 = n / the first radix."""
+    """Forward tables of each stage of length L = r*m, with
+    w_L = exp(-2*pi*i/L): the first stage's twiddles w_L^(j*p) as one (m, r)
+    table (its column j = 0 all ones), each later stage's twiddled DFT
+    matrices G[p] = diag(w_L^(j*p)) @ F_r as one (m, r, r) array, the last
+    of several (m = 1) being F_r itself.  That is n + sum m*r^2 values over
+    the later stages, at most 2.1*n (1000 = [10, 10, 10])."""
     if not radices:
         return ()
     m = n // radices[0]
@@ -179,8 +188,8 @@ def _stage_tables(n: int, radices: list[int]) -> tuple[np.ndarray, ...]:
     length = m
     for r in radices[1:]:
         m = length // r
-        e = np.arange(1, r)[:, None] * np.arange(m)[None, :]
-        out.append(_unit_roots(e, length)[:, :, None])
+        w = _unit_roots(np.outer(np.arange(m), np.arange(r)), length)
+        out.append(w[:, :, None] * _dft_matrix(r))
         length = m
     return tuple(out)
 
@@ -215,7 +224,7 @@ def plan(n: int) -> DftPlan:
 
 
 # per-thread (rows, n) complex buffers for the sizes used last: row 0 is the
-# ping-pong partner of the caller's output, row 1 the stages' matrix products,
+# ping-pong partner of the caller's output, row 1 an input no stage writes,
 # and a Bluestein pad's row 2 the output of its padded transforms
 _WORKSPACE = threading.local()
 _WORKSPACE_SIZES = 2
@@ -244,57 +253,47 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     r*m becomes r of length m, and after the last stage (m = 1, where
     every twiddle is 1) the spectrum is in natural order.
 
-    A stage is one matrix product and one twiddle pass (Van Loan 1992,
-    "Computational Frameworks for the FFT"), with F_r the r-point DFT
-    matrix (:func:`_dft_matrix`), which numpy hands to BLAS zgemm.  The
-    first stage (s = 1) computes y read as (m, r) = (x read as (r, m)).T
-    @ F_r straight into y, since F_r is symmetric and BLAS reads the
-    transposed operand in place, then multiplies y by its (m, r) twiddle
-    table in place, one contiguous pass; a single stage (m = 1) does the
-    same with its (1, r) table of ones.  Each later stage computes T =
-    F_r @ x read as (r, m*s) into the per-thread scratch row, then y[:, 0]
-    = T[0] and y[:, j] = T[j] * w[j-1] for 0 < j < r, one 2-d multiply
-    per j.  The last of several stages has no twiddles, so its product is
-    written straight into y.
+    Each stage is one matrix product (Van Loan 1992, "Computational
+    Frameworks for the FFT"), which numpy hands to BLAS zgemm.  The first
+    stage (s = 1) computes y read as (m, r) = (x read as (r, m)).T @ F_r,
+    with F_r the r-point DFT matrix (:func:`_dft_matrix`), straight into y,
+    since F_r is symmetric and BLAS reads the transposed operand in place,
+    then multiplies y by its (m, r) twiddle table in place, one contiguous
+    pass; a single stage (m = 1) does the same with its (1, r) table of
+    ones.  Each later stage has its twiddles folded into its matrices, G[p]
+    = diag(w_(r*m)^(j*p)) @ F_r (:func:`_stage_tables`), and runs as one
+    batched product, y read as (m, r, s) = G @ (x read as (r, m, s),
+    transposed to (m, r, s)), one zgemm per p with BLAS reading the rows of
+    x at their stride; the last of several stages is the single product
+    F_r @ (x read as (r, s)).
 
     The stages alternate between ``out`` and ``partner`` (two distinct 1-d
     views, strided or not), starting with ``out`` for an odd stage count
     so that the last stage lands in ``out``.  ``x`` is read by the first
     stage only, which writes one of the two, so ``x`` may be the other, or
-    the scratch row, which only later stages write (:func:`_input_slot`).
+    any row that no stage writes (:func:`_input_slot`).
     A strided ``x`` gives the same result, but its product does not run in
     BLAS (:func:`_engine_input`).
     """
-    n = x.shape[0]
     if not stages:
         out[...] = x
         return out
-    scratch = _workspace(n)[1]
     buffers = (out, partner) if len(stages) % 2 else (partner, out)
     m, r = stages[0].shape
-    f, y = _dft_matrix(r), buffers[0]
-    t = np.matmul(x.reshape(r, m).T, f, out=y.reshape(m, r))
+    y, s = buffers[0], r
+    t = np.matmul(x.reshape(r, m).T, _dft_matrix(r), out=y.reshape(m, r))
     t *= stages[0]
-    x, s = y, r
-    for i, w in enumerate(stages[1:], 1):
-        r, m = w.shape[0] + 1, w.shape[1]
-        f, y = _dft_matrix(r), buffers[i % 2]
-        if m == 1:
-            np.matmul(f, x.reshape(r, s), out=y.reshape(r, s))
-        else:
-            t = np.matmul(f, x.reshape(r, m * s), out=scratch.reshape(r, m * s))
-            t, y = t.reshape(r, m, s), y.reshape(m, r, s)
-            y[:, 0] = t[0]
-            for j in range(1, r):
-                np.multiply(t[j], w[j - 1], out=y[:, j])
-        x = buffers[i % 2]
+    for i, g in enumerate(stages[1:], 1):
+        m, r = g.shape[:2]
+        x, y = y, buffers[i % 2]
+        np.matmul(g, x.reshape(r, m, s).transpose(1, 0, 2), out=y.reshape(m, r, s))
         s *= r
     return out
 
 
 def _input_slot(p: DftPlan, out: np.ndarray) -> np.ndarray:
     """Where the input of a transform into ``out`` may be built in place:
-    the scratch row, which a Stockham first stage does not write."""
+    the workspace's row 1, which no Stockham stage writes."""
     if p.strategy == STOCKHAM:
         return _workspace(p.size)[1]
     return out  # Bluestein reads its input before it writes ``out``

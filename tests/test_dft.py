@@ -292,12 +292,12 @@ class TestWorkspace:
     """Transforms run in a per-thread workspace and allocate only their result."""
 
     # when every stage's output and the butterflies' temporaries were
-    # allocated, these peaks were 3.00x, 3.00x and 3.63x the result; here
-    # they are 1.13x or less, all of it numpy's 128 KiB iterator buffer for
-    # the later stages' strided twiddle writes, which does not grow with n
-    # (the first stage's twiddle pass is contiguous and in place).  Real
-    # input is widened in the workspace's scratch row, which the first
-    # stage does not write; in a temporary, the peak was 2.06x the result.
+    # allocated, these peaks were 3.00x, 3.00x and 3.63x the result; with a
+    # twiddle pass per later stage they were 1.13x or less, numpy's 128 KiB
+    # iterator buffer for its strided writes; with the twiddles folded into
+    # the stage matrices they are 1.01x or less.  Real input is widened in
+    # the workspace's input row, which no stage writes; in a temporary, the
+    # peak was 2.06x the result.
     # The inverse lands its stages in the workspace and reads them back
     # reversed into the result, for an even (2^16, 4) and an odd (2^15, 3)
     # stage count
@@ -333,10 +333,11 @@ class TestWorkspace:
         # n = 3027 = 3 * 1009 pads to 6075 = 3^5 * 5^2.  With a zero-filled
         # padded array, a second one for the padded forward transform and
         # the conj(x) and chirp/m temporaries the peak was 6.40x the result.
-        # Here it is 1.32x, the result and numpy's iterator buffers for the
-        # pad's strided twiddle writes.  Real input, to either direction, is
-        # widened into the padded row before the chirp product; widened
-        # inside that product, through numpy's cast buffer, it peaked at 2.01x
+        # Here it is 1.05x or less; it was 1.32x while the pad's later stages
+        # wrote strided twiddle passes through numpy's iterator buffers.  Real
+        # input, to either direction, is widened into the padded row before
+        # the chirp product; widened inside that product, through numpy's
+        # cast buffer, it peaked at 2.01x
         n = 3027
         p = plan(n)
         rng = np.random.default_rng(n)
@@ -446,8 +447,20 @@ def _first_radix_sizes():
 _FIRST_RADIX_SIZES = _first_radix_sizes()
 
 
+def _table_shapes(n):
+    """Shapes of a 5-smooth n's stage tables: (m0, r0), then (m, r, r)."""
+    radices = dft._radices(n)
+    m = n // radices[0]
+    shapes = [(m, radices[0])]
+    for r in radices[1:]:
+        m //= r
+        shapes.append((m, r, r))
+    return shapes
+
+
 class TestStages:
-    """Each stage is one matrix product and one twiddle pass; the engine
+    """The first stage is one matrix product and one twiddle pass, each
+    later stage one batched product with its twiddled matrices; the engine
     stays pinned to the direct sum for every radix and stage count."""
 
     @pytest.mark.parametrize("r", [r for r in range(2, 33) if is_five_smooth(r)])
@@ -481,21 +494,31 @@ class TestStages:
         assert rel_err(dft_forward(p, x), fwd) <= 1e-12
         assert rel_err(dft_inverse(p, x), inv) <= 1e-12
 
-    # the first stage keeps one (m0, r0) table with its column of ones and
-    # each later stage an (r-1, m, 1) one: n + m0 - 1 values, and the plan
-    # holds no other array, since the inverse runs on the forward stages.
-    # Single stage (32), 2 to 4 stages, a Bluestein pad
+    # the first stage keeps one (m0, r0) twiddle table with its column of
+    # ones and each later stage an (m, r, r) array of twiddled DFT matrices:
+    # n + sum m*r^2 values, and the plan holds no other array, since the
+    # inverse runs on the forward stages.  Single stage (32), 2 to 4
+    # stages, a Bluestein pad
     @pytest.mark.parametrize("n", [32, 36, 1000, 2**17, 100_000, 1009])
-    def test_stage_tables_hold_n_plus_m0_minus_1_values(self, n):
+    def test_stage_tables_hold_n_plus_later_m_r_squared_values(self, n):
         p = plan(n)
         p = p.pad_plan or p
-        r0 = dft._radices(p.size)[0]
-        m0 = p.size // r0
-        assert p.stages_fwd[0].shape == (m0, r0)
+        shapes = _table_shapes(p.size)
+        assert [t.shape for t in p.stages_fwd] == shapes
         held = [getattr(p, f.name) for f in dataclasses.fields(p)]
         arrays = [a for v in held for a in (v if isinstance(v, tuple) else (v,))
                   if isinstance(a, np.ndarray)]
-        assert sum(a.size for a in arrays) == p.size + m0 - 1
+        assert sum(a.size for a in arrays) == p.size + sum(m * r * r for m, r, _ in shapes[1:])
+
+    def test_stage_tables_stay_within_2_1_n_up_to_2_20(self):
+        # sum m*r^2 over the later stages is n * sum r_i/(r_0*...*r_(i-1)),
+        # largest for 1000 = [10, 10, 10]: 1000 + 100 values more than n
+        def held(n):
+            return sum(math.prod(shape) for shape in _table_shapes(n))
+
+        sizes = [n for n in range(2, 2**20 + 1) if is_five_smooth(n)]
+        assert all(10 * held(n) <= 21 * n for n in sizes)
+        assert max(sizes, key=lambda n: held(n) / n) == 1000 and held(1000) == 2100
 
     # pads 2025 = [15, 15, 9] and 6075 = [27, 15, 15]
     @pytest.mark.parametrize("n", [1009, 3027])
@@ -509,6 +532,35 @@ class TestStages:
     def test_dft_matrix_is_read_only_and_shared(self):
         f = dft._dft_matrix(8)
         assert f is dft._dft_matrix(8) and not f.flags.writeable
+
+    # a single-stage, a multi-stage and a Bluestein plan, which plan caches
+    # share between calls
+    @pytest.mark.parametrize("n", [32, 1000, 1009])
+    def test_every_plan_array_is_read_only(self, n):
+        p = plan(n)
+        arrays = [*p.stages_fwd]
+        if p.pad_plan is not None:
+            arrays += [*p.pad_plan.stages_fwd, p.chirp, p.chirp_spectrum]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    # stages [32, r, 2] make each radix r a later stage with m = 2 and
+    # s = 32, so its twiddled matrices differ per p and it reads strided
+    # rows; n = 64*r
+    @pytest.mark.parametrize("r", [r for r in range(2, 33) if is_five_smooth(r)])
+    def test_folded_stage_radix_matches_direct_sum(self, r):
+        n = 64 * r
+        stages = dft._stage_tables(n, [32, r, 2])
+        assert stages[1].shape == (2, r, r)
+        x, fwd, inv = _stage_case(n)
+        y = dft._stockham(x, stages, np.empty(n, dtype=np.complex128),
+                          np.empty(n, dtype=np.complex128))
+        assert rel_err(y, fwd) <= 1e-12
+        # the inverse is the forward transform of x[-k mod n], over n
+        y = dft._stockham(np.roll(x[::-1], 1), stages, np.empty_like(y), np.empty_like(y))
+        assert rel_err(y / n, inv) <= 1e-12
 
     # the inverse is the forward transform read at -k mod n, times 1/n,
     # over one stage (16), an odd (1000, 3) and an even (2^16, 4) stage
@@ -547,36 +599,31 @@ def _tile_case(n):
 
 
 def _tiled_stockham(tile):
-    """A stand-in for ``dft._stockham`` that writes each stage out in tiles
-    of ``tile`` elements by explicit index arithmetic, with T the stage's
-    whole matrix product (the BLAS product's bits depend on its shape, so
-    it is not cut).  The first stage (s = 1) takes T = x read as
-    (r, m), transposed, times F_r, already in output order, and writes
-    y[p*r + j] = T[p, j] * w[p, j] over tiles of its (m, r) index space;
-    every later stage writes y[(p*r + j)*s + q] = T[j, p*s + q] *
-    w[j-1, p] with T = F_r @ x read as (r, m*s), over tiles of its (m, s)
-    index space."""
+    """A stand-in for ``dft._stockham`` that writes each stage out by
+    explicit index arithmetic.  The first stage (s = 1) takes T = x read as
+    (r, m), transposed, times F_r, as one whole product (the BLAS
+    product's bits depend on its shape, so it is not cut), already in
+    output order, and writes y[p*r + j] = T[p, j] * w[p, j] over tiles of
+    ``tile`` elements of its (m, r) index space.  Every later stage is cut
+    along its batch axis p: one product T = G[p] @ x read as (r, m, s) at
+    [:, p, :], written to y[(p*r + j)*s + q] = T[j, q]."""
 
     def stockham(x, stages, out, partner):
         x = np.array(x, dtype=np.complex128)
         n, s = x.shape[0], 1
         for i, w in enumerate(stages):
-            m, r = w.shape if i == 0 else (w.shape[1], w.shape[0] + 1)
-            f = dft._dft_matrix(r)
+            m, r = w.shape[:2]
             y = np.empty(n, dtype=np.complex128)
             if i == 0:
-                t = np.matmul(x.reshape(r, m).T, f)
+                t = np.matmul(x.reshape(r, m).T, dft._dft_matrix(r))
                 for a in range(0, n, tile):
                     p, j = np.divmod(np.arange(a, min(a + tile, n)), r)
                     y[p * r + j] = t[p, j] * w[p, j]
             else:
-                t = np.matmul(f, x.reshape(r, m * s))
-                for a in range(0, m * s, tile):
-                    k = np.arange(a, min(a + tile, m * s))
-                    p, q = np.divmod(k, s)
-                    y[p * r * s + q] = t[0, k]
-                    for j in range(1, r):
-                        y[(p * r + j) * s + q] = t[j, k] if m == 1 else t[j, k] * w[j - 1, p, 0]
+                j, q = np.divmod(np.arange(r * s), s)
+                for p in range(m):
+                    t = np.matmul(w[p], x.reshape(r, m, s)[:, p, :])
+                    y[(p * r + j) * s + q] = t[j, q]
             x = y
             s *= r
         out[...] = x
@@ -587,16 +634,14 @@ def _tiled_stockham(tile):
 
 class TestTiles:
     """The engine runs each stage whole, with the (m, r, s) output read
-    through views; every tiling of a stage's twiddle pass, over (m, r) for
-    the first stage and (m, s) for the later ones, written out by explicit
-    index arithmetic, gives its bits."""
+    through views; the first stage's twiddle pass tiled over its (m, r)
+    index space, and every later stage run as one product per p, written
+    out by explicit index arithmetic, give its bits."""
 
     # radix 16 x 8 (128), 27 x 9 (3^5), 25 x 25 (5^4), 15 x 10 (150),
     # 16 x 15 (240), 30 x 24 (720), 10 x 10 x 10 (1000) and a Bluestein
     # size (1009, pad 2025 = [15, 15, 9]).  Tiles of 1 to 64 elements cut
-    # the first stage's (m, r) table across its rows, and the later stages,
-    # where s >= the tile, into runs of q under a single twiddle column;
-    # only the last of several stages (m = 1) has no twiddles
+    # the first stage's (m, r) table across its rows
     @pytest.mark.parametrize("n", [128, 243, 625, 150, 240, 720, 1000, 1009])
     @pytest.mark.parametrize("tile", [1, 2, 3, 8, 64])
     def test_tiled_stages_match_whole_stages_bit_for_bit(self, monkeypatch, tile, n):
