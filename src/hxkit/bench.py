@@ -16,10 +16,11 @@ Sizes come from ``size_for_power``: the nearest even integer to 2**power.
 Plain rounding of 2**power can land on an odd size (12.5 -> 5793), which
 the half-length inverse cannot split, so we round the half size instead.
 
-Timed regions run sequentially on one thread, one call of each form per
-trial with both plans built, so drift in the host's speed moves both
-means alike.  Raw mean and sample standard deviation are reported
-without outlier rejection.
+Timed regions run sequentially on one Python thread; the stage products
+inside them run on BLAS's threads, as many as ``OPENBLAS_NUM_THREADS``
+sets.  Each trial makes one call of each form with both plans built, so
+drift in the host's speed moves both means alike.  Raw mean and sample
+standard deviation are reported without outlier rejection.
 """
 
 from __future__ import annotations

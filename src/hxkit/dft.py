@@ -25,13 +25,13 @@ spectrum comes out in natural order, with no bit-reversal gather.  The
 stages ping-pong between the caller's output and one per-thread work
 row, with the parity chosen so that the last stage lands in the output,
 so a warmed transform allocates nothing but its result.  Only forward
-stages exist: the inverse lands them in the work row, and its 1/N pass
-reads that row back into the output at -k mod N, x[k] = DFT(X)[-k mod N]
-/ N (Van Loan 1992).  Every other size takes the chirp-based (Bluestein)
-reduction to a cyclic convolution, padded to the smallest 5-smooth length
->= 2n-1 and run on the same stages in the pad's workspace, so it too
-allocates only its result.  Both act on one 1-d sequence; there is no
-batch axis.  :func:`dft_direct_reference` evaluates
+stages exist: the inverse runs them between two work rows, and its 1/N
+pass, its one write to the output, reads them back at -k mod N, x[k] =
+DFT(X)[-k mod N] / N (Van Loan 1992).  Every other size takes the
+chirp-based (Bluestein) reduction to a cyclic convolution, padded to the
+smallest 5-smooth length >= 2n-1 and run on the same stages in the pad's
+workspace, so it too allocates only its result.  Both act on one 1-d
+sequence; there is no batch axis.  :func:`dft_direct_reference` evaluates
 the defining sums in O(N^2) and is the oracle the fast paths are tested
 against.
 
@@ -44,8 +44,8 @@ the last ulp.
 given as its bins 0..N/2, with two inverse transforms of length N/2, one
 for the even output samples (Nyquist bin folded into DC) and one for the
 odd.  It returns the exact length-N inverse, interchangeable with :func:`dft_inverse` up to rounding.
-Both half inverses run in place in the output and are interleaved through
-the workspace, so the call allocates only its result.
+Each half inverse writes its samples straight into every other output
+sample, so the call allocates only its result.
 """
 
 from __future__ import annotations
@@ -223,19 +223,19 @@ def plan(n: int) -> DftPlan:
     )
 
 
-# per-thread (rows, n) complex buffers for the sizes used last: row 0 is the
-# ping-pong partner of the caller's output, row 1 an input no stage writes,
-# and a Bluestein pad's row 2 the output of its padded transforms
+# per-thread (2, n) complex buffers for the sizes used last: row 0 is the
+# forward stages' ping-pong partner of the caller's output, row 1 the input
+# slot, and the two rows together hold an inverse's stages (:func:`_in_rows`)
 _WORKSPACE = threading.local()
 _WORKSPACE_SIZES = 2
 
 
-def _workspace(n: int, rows: int = 2) -> np.ndarray:
-    """The calling thread's workspace of at least ``rows`` length-n rows."""
+def _workspace(n: int) -> np.ndarray:
+    """The calling thread's workspace of two length-n rows."""
     cache = _WORKSPACE.__dict__.setdefault("buffers", {})
     buf = cache.pop(n, None)
-    if buf is None or buf.shape[0] < rows:
-        buf = np.empty((rows, n), dtype=np.complex128)
+    if buf is None:
+        buf = np.empty((2, n), dtype=np.complex128)
     cache[n] = buf
     if len(cache) > _WORKSPACE_SIZES:
         del cache[next(iter(cache))]
@@ -271,7 +271,7 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     views, strided or not), starting with ``out`` for an odd stage count
     so that the last stage lands in ``out``.  ``x`` is read by the first
     stage only, which writes one of the two, so ``x`` may be the other, or
-    any row that no stage writes (:func:`_input_slot`).
+    any array that the first stage does not write (:func:`_input_slot`).
     A strided ``x`` gives the same result, but its product does not run in
     BLAS (:func:`_engine_input`).
     """
@@ -292,11 +292,20 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
 
 
 def _input_slot(p: DftPlan, out: np.ndarray) -> np.ndarray:
-    """Where the input of a transform into ``out`` may be built in place:
-    the workspace's row 1, which no Stockham stage writes."""
+    """Where the input of a transform into ``out`` may be built in place: the
+    workspace's row 1, which only an inverse's stages write, after reading it."""
     if p.strategy == STOCKHAM:
         return _workspace(p.size)[1]
     return out  # Bluestein reads its input before it writes ``out``
+
+
+def _in_rows(p: DftPlan, x: np.ndarray) -> np.ndarray:
+    """The stages of ``p`` run on ``x`` in its workspace's two rows: the
+    first writes row 0, so ``x`` may be row 1, and the last lands in (and
+    returns) row 0 for an odd stage count, row 1 for an even one."""
+    w = _workspace(p.size)
+    odd = len(p.stages_fwd) % 2
+    return _stockham(x, p.stages_fwd, w[1 - odd], w[odd])
 
 
 def _bluestein(x: np.ndarray, p: DftPlan, out: np.ndarray, tail: np.ndarray) -> None:
@@ -305,31 +314,29 @@ def _bluestein(x: np.ndarray, p: DftPlan, out: np.ndarray, tail: np.ndarray) -> 
     Bin 0 goes to ``out[0]``, bins 1..n-1 to ``tail`` (``out[1:]``, or
     ``out[:0:-1]`` for the inverse).  Both padded transforms run forward;
     the final chirp product reads the convolution off the second, F, as
-    conv[j] = F[-j mod m] / m.  The padded sequence and its spectrum live
-    in the pad's workspace (row 2 the transforms' output, each input built
-    in its :func:`_input_slot`), so the call allocates nothing but ``out``.
+    conv[j] = F[-j mod m] / m.  Both run in the pad's two rows, each on an
+    input built in row 1 (:func:`_in_rows`), so the call allocates nothing
+    but ``out``.
     """
     n = p.size
     pad = p.pad_plan
     m = pad.size
-    work, b = _workspace(m, 3)[::2]
-    a = _input_slot(pad, b)
+    a = _workspace(m)[1]
     a[:n] = x  # a real x in the chirp product would widen in a cast buffer
     a[:n] *= p.chirp
     a[n:] = 0.0
-    _stockham(a, pad.stages_fwd, b, work)
-    A = np.multiply(b, p.chirp_spectrum, out=_input_slot(pad, b))
-    F = _stockham(A, pad.stages_fwd, b, work)
+    A = np.multiply(_in_rows(pad, a), p.chirp_spectrum, out=a)
+    F = _in_rows(pad, A)
     out[0] = F[0] / m  # chirp[0] = 1
     np.divide(p.chirp[1:], m, out=tail)
     np.multiply(F[:m - n:-1], tail, out=tail)
 
 
 def _inverse_into(p: DftPlan, X: np.ndarray, out: np.ndarray, scale: float) -> None:
-    """out[k] = scale * DFT(X)[-k mod n]: the stages land in the work row,
-    with ``out`` their partner, and are read back reversed into ``out``."""
+    """out[k] = scale * DFT(X)[-k mod n], read reversed off the workspace rows
+    (:func:`_in_rows`) once ``X`` is read, so ``out`` may be any view, ``X`` too."""
     if p.strategy == STOCKHAM:
-        w = _stockham(X, p.stages_fwd, _workspace(p.size)[0], out)
+        w = _in_rows(p, X)
         out[0] = w[0] * scale
         np.multiply(w[:0:-1], scale, out=out[1:])
     else:
@@ -426,11 +433,8 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
     A one-sided spectrum of even length N = 2*plan_half.size is zero above
     Nyquist, so ``V`` is just its bins 0..N/2 (plan_half.size + 1 of them).
     Even output samples are the inverse of the low half with the Nyquist
-    bin folded into DC, run in place in out[:N/2]; odd samples that of the
-    twiddled low half, in out[N/2:].  The two are then interleaved through
-    the workspace rows.  Writing each half straight into out[0::2] and
-    out[1::2] instead makes every other stage a strided pass, which
-    measured about 13% slower at N = 2^18 (2-CPU Xeon host, numpy 2.4).
+    bin folded into DC, written straight into out[0::2]; odd samples that
+    of the twiddled low half, into out[1::2].
     """
     nh = plan_half.size
     v = np.asarray(V)
@@ -441,7 +445,7 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
         )
     v = v.astype(np.complex128, copy=False)
     out = np.empty(2 * nh, dtype=np.complex128)
-    even, odd = out[:nh], out[nh:]
+    even, odd = out[0::2], out[1::2]
     x = _input_slot(plan_half, even)
     x[...] = v[:nh]
     x[0] += v[nh]
@@ -450,9 +454,4 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
     np.multiply(v[:nh], _double_twiddle(nh), out=x)
     x[0] -= v[nh]  # the twiddle at j = 0 is 1
     _inverse_into(plan_half, x, odd, 1.0 / (2 * nh))
-    w, t = _workspace(nh)[:2]
-    w[...] = even
-    t[...] = odd
-    out[0::2] = w
-    out[1::2] = t
     return out

@@ -66,7 +66,6 @@ import numpy as np
 
 from .dft import (
     DftPlan,
-    _input_slot,
     _inverse_into,
     _unit_roots,
     dft_forward,
@@ -262,12 +261,12 @@ def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
 def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The length-N pipeline: forward DFT, multiply by the table m, inverse.
 
-    The product is built in the inverse's input slot and the inverse runs
-    in place in the spectrum, so the call allocates only the spectrum."""
+    The product is formed in place in the spectrum and inverted into it,
+    so the call allocates only the spectrum."""
     n = x.shape[0]
     p = _cached_plan(n)
     X = dft_forward(p, x)
-    _inverse_into(p, np.multiply(X, m, out=_input_slot(p, X)), X, 1.0 / n)
+    _inverse_into(p, np.multiply(X, m, out=X), X, 1.0 / n)
     return X
 
 

@@ -21,9 +21,9 @@ in each failure message:
   input or output points").  The operation count therefore suggests a
   second/first ratio near (log2 N - 1)/log2 N = 17/18 ~ 0.944 at
   N = 2^18, above the 0.87 bound.  On the matrix-stage engine two bare
-  length-2^17 inverses took about 0.97 of one 2^18 inverse, and
-  ``dft_inverse_halfband``, with its half-band split and interleave,
-  1.13-1.14 of it.
+  length-2^17 inverses took 0.80-0.82 of one 2^18 inverse, and
+  ``dft_inverse_halfband``, with its half-band split and each half
+  written into every other output sample, 0.91-0.95 of it.
 """
 
 import math
@@ -238,8 +238,9 @@ def test_criterion_6_benchmark_direction():
         f"(criterion 5). Pruning the N/2 zero bins of a one-sided spectrum "
         f"saves only about 1/log2 N of a radix-2 FFT's operations, N*log2(N/2) "
         f"against N*log2(N) (Sorensen & Burrus 1993), so the operation count "
-        f"suggests a ratio near 17/18 = 0.944 at N = 2^18; the half-band split "
-        f"and interleave add their own passes on top."
+        f"suggests a ratio near 17/18 = 0.944 at N = 2^18; the half-band split, "
+        f"which builds both half inputs, adds its own passes on top, and each "
+        f"half's 1/N read writes every other output sample."
     )
 
 

@@ -276,6 +276,23 @@ class TestHalfband:
         with pytest.raises(SizeMismatchError):
             dft_inverse_halfband(plan(4), np.zeros(9, dtype=np.complex128))
 
+    # each half is written straight into out[0::2] or out[1::2] and gives
+    # the bits of its own length-N/2 inverse, halved (exactly), for half
+    # plans with 3 (1000) and 4 (2^16) stages and a Bluestein one (1009)
+    @pytest.mark.parametrize("nh", [1000, 2**16, 1009])
+    def test_halves_are_the_half_length_inverses_bit_for_bit(self, nh):
+        rng = np.random.default_rng(nh)
+        v = rng.standard_normal(nh + 1) + 1j * rng.standard_normal(nh + 1)
+        p = plan(nh)
+        even = v[:nh].copy()
+        even[0] += v[nh]
+        odd = v[:nh] * dft._double_twiddle(nh)  # exp(+2*pi*i*j/N)
+        odd[0] -= v[nh]
+        want = np.empty(2 * nh, dtype=np.complex128)
+        want[0::2] = dft_inverse(p, even) * 0.5
+        want[1::2] = dft_inverse(p, odd) * 0.5
+        assert dft_inverse_halfband(p, v).tobytes() == want.tobytes()
+
 
 @given(seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=25, deadline=None)
@@ -296,8 +313,8 @@ class TestWorkspace:
     # twiddle pass per later stage they were 1.13x or less, numpy's 128 KiB
     # iterator buffer for its strided writes; with the twiddles folded into
     # the stage matrices they are 1.01x or less.  Real input is widened in
-    # the workspace's input row, which no stage writes; in a temporary, the
-    # peak was 2.06x the result.
+    # the workspace's input row, which no forward stage writes; in a
+    # temporary, the peak was 2.06x the result.
     # The inverse lands its stages in the workspace and reads them back
     # reversed into the result, for an even (2^16, 4) and an odd (2^15, 3)
     # stage count
@@ -337,15 +354,18 @@ class TestWorkspace:
         # wrote strided twiddle passes through numpy's iterator buffers.  Real
         # input, to either direction, is widened into the padded row before
         # the chirp product; widened inside that product, through numpy's
-        # cast buffer, it peaked at 2.01x
+        # cast buffer, it peaked at 2.01x.  The half-band inverse of N = 2018
+        # runs a Bluestein half plan (1009) into out[0::2] and out[1::2]
         n = 3027
         p = plan(n)
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
         z = x + 1j * rng.standard_normal(n)
+        half, bins = plan(1009), z[:1010]
         for call, bound in ((lambda: dft_forward(p, x), 1.5),
                             (lambda: dft_inverse(p, z), 2.5),
-                            (lambda: dft_inverse(p, x), 2.5)):
+                            (lambda: dft_inverse(p, x), 2.5),
+                            (lambda: dft_inverse_halfband(half, bins), 1.5)):
             tracemalloc.start()
             try:
                 call()
@@ -520,14 +540,17 @@ class TestStages:
         assert all(10 * held(n) <= 21 * n for n in sizes)
         assert max(sizes, key=lambda n: held(n) / n) == 1000 and held(1000) == 2100
 
-    # pads 2025 = [15, 15, 9] and 6075 = [27, 15, 15]
-    @pytest.mark.parametrize("n", [1009, 3027])
+    # pads 2025 = [15, 15, 9], 6075 = [27, 15, 15] and 256 = [16, 16]; in
+    # the even-stage pad the second padded transform reads row 1 and lands
+    # in it.  Both transforms run in the pad's two workspace rows
+    @pytest.mark.parametrize("n", [1009, 3027, 127])
     def test_bluestein_size_matches_direct_sum(self, n):
         p = plan(n)
         assert p.strategy == BLUESTEIN
         x, fwd, inv = _stage_case(n)
         assert rel_err(dft_forward(p, x), fwd) <= 1e-12
         assert rel_err(dft_inverse(p, x), inv) <= 1e-12
+        assert dft._workspace(p.pad_plan.size).shape == (2, p.pad_plan.size)
 
     def test_dft_matrix_is_read_only_and_shared(self):
         f = dft._dft_matrix(8)
