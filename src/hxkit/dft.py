@@ -194,15 +194,20 @@ def _stage_tables(n: int, radices: list[int]) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+def _transform_size(n) -> int:
+    """n as an int, or InvalidSizeError: the size rule of plans and bin tables."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidSizeError(f"transform size must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def plan(n: int) -> DftPlan:
     """Build a reusable transform plan for size ``n``.
 
     Sizes 2^a * 3^b * 5^c get the Stockham strategy, every other size the
     chirp-based (Bluestein) strategy on a 5-smooth padded length.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidSizeError(f"transform size must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _transform_size(n)
     radices = _radices(n)
     if radices is not None:
         return DftPlan(size=n, strategy=STOCKHAM, stages_fwd=_stage_tables(n, radices))

@@ -22,11 +22,12 @@ at every bin and makes Im(H2{f}) = -/+ f exact.  A consequence worth noting:
 the fitted constant in H2 = -H + c*i*f comes out at c = -/+ 1, not -/+ 2;
 :func:`corollary_equivalence_report` measures and reports exactly this.
 
-One spectral pipeline.  Every public transform takes a real signal and
-computes H f; the second form is then built as -H f -/+ i*f in one complex
-output, so its Re/Im identities hold bit for bit at every length.  For even
-length N, H f runs one length-N/2 complex DFT in each direction (Sorensen,
-Jones, Heideman & Burrus 1987, "Real-valued FFT algorithms").  The forward
+One spectral pipeline.  Every public transform takes a real signal.  Off
+the half-band route, the second form -H f -/+ i*f and the analytic signal
+f - i*H f are assembled from one H f, in a complex output allocated after
+it, so their Re/Im identities hold bit for bit.  For even length N, H f
+runs one length-N/2 complex DFT in each direction (Sorensen, Jones,
+Heideman & Burrus 1987, "Real-valued FFT algorithms").  The forward
 transform packs x[2m] + i*x[2m+1] without a copy.  Unpacking the length-N
 spectrum, multiplying it and repacking the product are linear in Z[k] and
 conj Z[N/2-k] of the packed transform Z, so they run as one O(N) pass with
@@ -67,6 +68,7 @@ import numpy as np
 from .dft import (
     DftPlan,
     _inverse_into,
+    _transform_size,
     _unit_roots,
     dft_forward,
     dft_inverse,
@@ -130,8 +132,8 @@ class Signal:
             raise InvalidSizeError("a signal needs at least 2 samples on one axis")
         if not np.isfinite(arr).all():
             raise DataError("non-finite samples")
-        if not (self.dx > 0):
-            raise DataError(f"grid spacing must be positive, got {self.dx}")
+        if not (0 < self.dx < math.inf and math.isfinite(self.x0)):
+            raise DataError(f"grid needs a finite x0 and dx > 0, got x0={self.x0}, dx={self.dx}")
         object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
@@ -147,6 +149,7 @@ class Signal:
 
 def bin_frequencies(n: int) -> np.ndarray:
     """Dimensionless bin frequencies: k/n below Nyquist, (k-n)/n above."""
+    n = _transform_size(n)
     k = np.arange(n)
     return np.where(k <= n // 2, k, k - n) / n
 
@@ -391,20 +394,20 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
     With ``halfband=True`` the packed forward DFT gives the one-sided
     multiplied spectrum (plus branch) and the inverse stage runs at half
     length (:func:`hxkit.dft.dft_inverse_halfband`); the minus branch is
-    the conjugate of the plus-branch output, valid for real f.  Requires
-    even length.  Every route runs at unit scale, as in
+    the conjugate of the plus-branch output, taken in place and valid for
+    real f.  Requires even length.  Every route runs at unit scale, as in
     :func:`hilbert_first`.
     """
     b = _as_branch(branch)
     x = _require_real(f, "hilbert_second")
-    n = len(x)
     if halfband:
-        if n % 2:
+        if len(x) % 2:
             raise InvalidSizeError("halfband inverse needs an even signal length")
         z = _at_unit_scale(x, _halfband_plus)
-        return f.with_samples(z if b is Branch.PLUS else np.conj(z))
-    z = np.empty(n, dtype=np.complex128)
-    np.negative(_at_unit_scale(x, _first_form), out=z.real)
+        return f.with_samples(z if b is Branch.PLUS else np.conjugate(z, out=z))
+    h = _at_unit_scale(x, _first_form)
+    z = np.empty(len(h), dtype=np.complex128)
+    np.negative(h, out=z.real)
     np.multiply(x, -b.sign, out=z.imag)
     return f.with_samples(z)
 
@@ -439,11 +442,14 @@ def hilbert_second_via_log_image(f: Signal, branch) -> Signal:
 
 
 def analytic_signal(f: Signal) -> Signal:
-    """f - i*H{f}: real part is f, strictly negative frequency bins vanish."""
-    h = hilbert_first(f).samples
+    """f - i*H{f}: real part is f, strictly negative frequency bins vanish.
+
+    Assembled from one first-form call, as :func:`hilbert_second` is."""
+    x = _require_real(f, "analytic_signal")
+    h = _at_unit_scale(x, _first_form)
     z = np.empty(len(h), dtype=np.complex128)
-    z.real = f.samples.real
-    np.subtract(0.0, h, out=z.imag)
+    z.real = x
+    np.subtract(0.0, h, out=z.imag)  # np.negative would turn a zero of H f into -0.0
     return f.with_samples(z)
 
 
@@ -464,8 +470,8 @@ def corollary_equivalence_report(f: Signal, branch) -> EquivalenceReport:
     whether |c_fit| lands within 1e-3 of 2 (the claimed factor).  Multiplier
     algebra puts c at -/+ 1, so ``paper_consistent`` is expected false; the
     report exists to surface that discrepancy, not to hide it.  H2 comes
-    from the length-N pipeline and H from :func:`hilbert_first`, so the
-    residual compares two pipelines.
+    from the length-N pipeline and H from the first form behind
+    :func:`hilbert_first`, so the residual compares two pipelines.
     """
     b = _as_branch(branch)
     x = _require_real(f, "corollary_equivalence_report")
@@ -475,11 +481,10 @@ def corollary_equivalence_report(f: Signal, branch) -> EquivalenceReport:
         raise DegenerateFitError("cannot fit against a zero signal")
     # fit on the peak-normalized signal: c is scale invariant and the inner
     # products stay clear of underflow for tiny-amplitude inputs
-    g = f.with_samples(x / peak)
-    xs = g.samples
+    xs = x / peak
     # the public H2 is built as -H f -/+ i*f, so its residual would read 0
     h2 = _full_length(xs, multiplier_bins(len(xs), b))
-    h1 = hilbert_first(g).samples
+    h1 = _at_unit_scale(xs, _first_form)
     r = h2 + h1  # what c*i*f must explain
     v = 1j * xs
     c = float(np.real(np.vdot(v, r)) / np.sum(xs * xs))  # vdot conjugates arg 1

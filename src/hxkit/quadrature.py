@@ -132,6 +132,8 @@ def _eval_indices(f: GridFunction, x_eval) -> np.ndarray:
     bad = (idx < 0) | (idx >= len(f))
     if np.any(bad) or np.abs(f.nodes[np.clip(idx, 0, len(f) - 1)] - xs).max() > 1e-9 * h:
         raise DomainError("evaluation points must coincide with grid nodes")
+    if idx.shape[0] < 3 or np.any(np.diff(idx) <= 0):  # the nodes of the result
+        raise DomainError("x_eval must name at least 3 grid nodes, strictly increasing")
     return idx
 
 

@@ -138,18 +138,14 @@ def write_values(path, fmt: str, values) -> None:
     if v.ndim != 1 or v.shape[0] == 0:
         raise DataError("output must be a nonempty vector")
     is_complex = np.iscomplexobj(v)
-    if is_complex:
-        flat = np.empty((v.shape[0], 2), dtype=np.float64)
-        flat[:, 0] = v.real
-        flat[:, 1] = v.imag
-    else:
-        flat = v.astype(np.float64)
+    # interleaved re,im is complex128's own layout: contiguous input is not copied
+    flat = np.ascontiguousarray(v, np.complex128 if is_complex else np.float64).view(np.float64)
     if not np.all(np.isfinite(flat)):
         raise DataError("non-finite output value")
     if fmt == "f64le":
-        Path(path).write_bytes(flat.astype("<f8").tobytes())
+        Path(path).write_bytes(flat.astype("<f8", copy=False).tobytes())
         return
-    lines = list(map(repr, flat.ravel().tolist()))
+    lines = list(map(repr, flat.tolist()))
     if is_complex:
         lines = map(",".join, zip(lines[0::2], lines[1::2]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -1,15 +1,12 @@
 import argparse
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hxkit.cli as cli
 import hxkit.verify as verify
-from hxkit.bench import CSV_HEADER
 from hxkit.cli import main
 from hxkit.errors import InvariantBreach
 from hxkit.verify import VerifyOutcome
@@ -322,24 +319,3 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert "transform" in proc.stdout
 
-
-class TestScripts:
-    ROOT = Path(__file__).resolve().parents[1]
-
-    def run_script(self, name, args, cwd):
-        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
-        return subprocess.run([sys.executable, str(self.ROOT / "scripts" / name), *args],
-                              cwd=cwd, env=env, capture_output=True, text=True)
-
-    def test_run_bench_writes_default_report(self, tmp_path):
-        proc = self.run_script("run_bench.py", ["--powers", "5", "--trials", "2", "--warmup", "0"],
-                               tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        lines = (tmp_path / "bench_report.csv").read_text().splitlines()
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 3
-
-    def test_run_verify_contour_suite(self, tmp_path):
-        proc = self.run_script("run_verify.py", ["--suite", "contour"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        assert "suite contour: 7/7 checks passed" in proc.stdout

@@ -133,6 +133,19 @@ class TestMultiplierValues:
     def test_bin_frequencies_odd(self):
         assert np.array_equal(bin_frequencies(5), [0, 0.2, 0.4, -0.4, -0.2])
 
+    @pytest.mark.parametrize("n", [0, -4, 4.0, 2.5, -3, True])
+    def test_tables_take_the_plan_size_rule(self, n):
+        # InvalidSizeError is a validation error: the CLI exits 2 on it
+        with pytest.raises(InvalidSizeError, match="positive integer"):
+            bin_frequencies(n)
+        with pytest.raises(InvalidSizeError, match="positive integer"):
+            multiplier_bins(n)
+
+    def test_tables_take_numpy_integer_sizes(self):
+        assert np.array_equal(bin_frequencies(np.int64(8)), bin_frequencies(8))
+        for b in (None, Branch.PLUS, Branch.MINUS):
+            assert np.array_equal(multiplier_bins(np.int64(8), b), multiplier_bins(8, b))
+
 
 class TestSignal:
     def test_too_short(self):
@@ -148,6 +161,12 @@ class TestSignal:
     def test_bad_spacing(self):
         with pytest.raises(DataError):
             Signal(np.zeros(4), dx=0.0)
+
+    @pytest.mark.parametrize("grid", [{"dx": math.inf}, {"dx": math.nan},
+                                      {"x0": math.nan}, {"x0": math.inf}, {"x0": -math.inf}])
+    def test_non_finite_grid(self, grid):
+        with pytest.raises(DataError, match="finite"):
+            Signal(np.zeros(4), **grid)
 
     def test_grid(self):
         s = Signal(np.zeros(4), x0=-1.0, dx=0.5)
@@ -300,6 +319,31 @@ class TestHilbertSecond:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * out.nbytes
+
+    @pytest.mark.parametrize("route, n", [("second", 1 << 16), ("second", 3**7),
+                                          ("analytic", 1 << 16)])
+    def test_warmed_complex_output_peak_memory(self, route, n):
+        # the complex output is allocated only once the first form has
+        # returned, so it never sits beside the first form's scratch arrays;
+        # allocated before the first form, the second form peaked at 2.00x
+        # the output at 2^16 and 2.54x at 3^7, against 1.56x and 1.61x now
+        f = Signal(seeded(n, n))
+
+        def call():
+            if route == "analytic":
+                return analytic_signal(f).samples
+            return hilbert_second(f, Branch.MINUS).samples
+
+        tracemalloc.start()
+        try:
+            call()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * out.nbytes
 
     def test_halfband_bins_are_the_multiplier_table_product(self, monkeypatch):
         # the route scales the unpacked bins 0..N/2 by the two values of the
@@ -517,6 +561,10 @@ class TestAnalyticSignal:
         Z = dft_forward(plan(n), z)
         upper = np.abs(Z[n // 2 + 1 :]).max()
         assert upper < 1e-12 * np.abs(Z).max()
+
+    def test_complex_input_error_names_analytic_signal(self):
+        with pytest.raises(DataError, match="^analytic_signal expects a real-valued signal$"):
+            analytic_signal(Signal(seeded(12, 16) + 0.5j))
 
     def test_matches_second_form(self):
         # i * H2+{f} = f - i*H{f} when DC and Nyquist carry no energy

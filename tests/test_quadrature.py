@@ -151,6 +151,39 @@ class TestPVQuadrature:
             assert abs(gap - want) < 1e-6, f"x={x}"
 
 
+class TestEvalPoints:
+    """``x_eval`` needs at least 3 strictly increasing grid nodes, since the
+    result is a GridFunction on them; it is checked before any quadrature."""
+
+    ROUTES = {
+        "pv": lambda g, xs: hilbert_first_pv_quadrature(g, xs),
+        "log_kernel": lambda g, xs: log_kernel_convolve(g, Branch.PLUS, xs),
+        "second": lambda g, xs: hilbert_second_quadrature(g, Branch.MINUS, xs),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("xs", [[0.0], [-1.0, 1.0], [-1.0, 0.0, 0.0, 1.0],
+                                    [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    def test_rejected_before_the_quadrature(self, route, xs, monkeypatch):
+        import hxkit.quadrature as quadrature
+
+        def weights(n):  # every route builds its weights right before its loop
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr(quadrature, "_trapezoid_weights", weights)
+        with pytest.raises(DomainError, match="x_eval"):
+            self.ROUTES[route](gauss_grid(64), xs)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_three_increasing_nodes_accepted(self, route):
+        g = gauss_grid(64)
+        xs = [-1.0, 0.0, 1.0]
+        full = self.ROUTES[route](g, None)
+        got = self.ROUTES[route](g, xs)
+        assert np.array_equal(got.nodes, xs)
+        assert np.array_equal(got.values, full.values[np.searchsorted(g.nodes, xs)])
+
+
 class TestSecondFormQuadrature:
     def test_gaussian_real_part(self):
         q = hilbert_second_quadrature(gauss_grid(4096), Branch.PLUS, PROBES)
