@@ -43,9 +43,8 @@ the last ulp.
 :func:`dft_inverse_halfband` inverts a one-sided spectrum of even length N,
 given as its bins 0..N/2, with two inverse transforms of length N/2, one
 for the even output samples (Nyquist bin folded into DC) and one for the
-odd.  It returns the exact length-N inverse, interchangeable with :func:`dft_inverse` up to rounding.
-Each half inverse writes its samples straight into every other output
-sample, so the call allocates only its result.
+odd, each written into every other sample of the one array it allocates:
+the exact length-N inverse, equal to :func:`dft_inverse`'s up to rounding.
 """
 
 from __future__ import annotations
@@ -90,10 +89,16 @@ class DftPlan:
     chirp_spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        # plans are shared through plan caches, so every table is read-only
+        # plans are shared through the table cache, so every table is read-only
         for t in (*self.stages_fwd, self.chirp, self.chirp_spectrum):
             if t is not None:
                 t.setflags(write=False)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the plan's tables, its pad plan's included."""
+        tables = (*self.stages_fwd, self.chirp, self.chirp_spectrum, self.pad_plan)
+        return sum(t.nbytes for t in tables if t is not None)
 
     @property
     def bitrev(self) -> None:
@@ -226,6 +231,37 @@ def plan(n: int) -> DftPlan:
         chirp=chirp,
         chirp_spectrum=_stockham(b, pad_plan.stages_fwd, np.empty_like(b), _workspace(m)[0]),
     )
+
+
+# (kind, n) -> table, least recently used first, shared by every thread
+_TABLE_BUDGET = 128 << 20  # every route's tables at one size up to n = 2^21
+_TABLES: dict[tuple[str, int], "np.ndarray | DftPlan"] = {}
+_TABLES_LOCK = threading.Lock()
+_table_bytes = 0  # the bytes _TABLES holds
+
+
+def _table(kind: str, n: int, build):
+    """build(n), an array (made read-only) or a plan, cached under (kind, n).
+
+    The key names the kind, not ``build``, so a rebound builder (a tracer's
+    wrapper of :func:`plan`) shares the entries.  A miss builds outside the
+    lock; then the least recently used entries go until the tables held fit
+    in :data:`_TABLE_BUDGET` bytes, but the newest always stays."""
+    global _table_bytes
+    key = (kind, n)
+    with _TABLES_LOCK:
+        if (hit := _TABLES.pop(key, None)) is not None:
+            _TABLES[key] = hit
+            return hit
+    table = build(n)
+    if isinstance(table, np.ndarray):
+        table.setflags(write=False)  # a plan's arrays already are
+    with _TABLES_LOCK:
+        if _TABLES.setdefault(key, table) is table:  # else another thread's build stays
+            _table_bytes += table.nbytes
+        while _table_bytes > _TABLE_BUDGET and len(_TABLES) > 1:
+            _table_bytes -= _TABLES.pop(next(iter(_TABLES))).nbytes
+    return table
 
 
 # per-thread (2, n) complex buffers for the sizes used last: row 0 is the
@@ -424,12 +460,9 @@ def dft_direct_reference(x, direction: str = "forward") -> np.ndarray:
     return y if direction == "forward" else y / n
 
 
-@lru_cache(maxsize=64)
 def _double_twiddle(nh: int) -> np.ndarray:
     """exp(+2*pi*i*j/(2*nh)) for j < nh, used by the odd-output half."""
-    w = _unit_roots(-np.arange(nh), 2 * nh)
-    w.setflags(write=False)
-    return w
+    return _unit_roots(-np.arange(nh), 2 * nh)
 
 
 def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
@@ -456,7 +489,7 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
     x[0] += v[nh]
     _inverse_into(plan_half, x, even, 1.0 / (2 * nh))
     x = _input_slot(plan_half, odd)
-    np.multiply(v[:nh], _double_twiddle(nh), out=x)
+    np.multiply(v[:nh], _table("double twiddle", nh, _double_twiddle), out=x)
     x[0] -= v[nh]  # the twiddle at j = 0 is 1
     _inverse_into(plan_half, x, odd, 1.0 / (2 * nh))
     return out

@@ -24,31 +24,28 @@ the fitted constant in H2 = -H + c*i*f comes out at c = -/+ 1, not -/+ 2;
 
 One spectral pipeline.  Every public transform takes a real signal.  Off
 the half-band route, the second form -H f -/+ i*f and the analytic signal
-f - i*H f are assembled from one H f, in a complex output allocated after
-it, so their Re/Im identities hold bit for bit.  For even length N, H f
-runs one length-N/2 complex DFT in each direction (Sorensen, Jones,
-Heideman & Burrus 1987, "Real-valued FFT algorithms").  The forward
-transform packs x[2m] + i*x[2m+1] without a copy.  Unpacking the length-N
-spectrum, multiplying it and repacking the product are linear in Z[k] and
-conj Z[N/2-k] of the packed transform Z, so they run as one O(N) pass with
-per-bin weights derived from :func:`multiplier_bins`; the length-N/2
-inverse of the result, read as interleaved pairs, is the real output by
-construction.  The half-band route unpacks bins 0..N/2, multiplies them
-and hands just those N/2+1 bins to :func:`hxkit.dft.dft_inverse_halfband`;
-the bins above Nyquist are zero and are never built.  Scratch arrays
-are reused within a call, and the engine keeps its own per-thread
-workspace, so a warmed call allocates a few arrays of the output's size.
-Odd lengths, the log-image route and the equivalence report run the one
-length-N forward -> multiply -> inverse pipeline with their multiplier
-table.  Its inverse leaves an imaginary rounding residue; the odd first
-form checks it and raises :class:`~hxkit.errors.InvariantBreach` if it
-exceeds 1e-12 of the peak.
-Before any of this the signal is scaled to a peak in [1/2, 1) by a power of
-two and the result scaled back.  That is exact, so ordinary input keeps
-the same bits, and finite input of any magnitude cannot overflow inside the
-engine.  A result that itself exceeds the float64 range (possible only for
-peaks near 1.8e308) raises :class:`~hxkit.errors.ResultOverflowError`
-instead of being scaled back.
+f - i*H f are assembled from one H f, so their Re/Im identities hold bit
+for bit.  For even length N, H f runs one length-N/2 complex DFT in each
+direction (Sorensen, Jones, Heideman & Burrus 1987, "Real-valued FFT
+algorithms").  The forward one reads x[2m] + i*x[2m+1] without a copy.
+Unpacking its spectrum Z, multiplying and repacking are linear in Z[k]
+and conj Z[N/2-k], so they run as one O(N) pass with weights derived from
+:func:`multiplier_bins`, and the inverse of the result, read as pairs, is
+the real output by construction.  The half-band route unpacks and
+multiplies bins 0..N/2 only, for :func:`hxkit.dft.dft_inverse_halfband`.
+Odd lengths, the log-image route and the equivalence report run one
+length-N forward -> multiply -> inverse pipeline; the odd first form
+raises :class:`~hxkit.errors.InvariantBreach` if the imaginary residue of
+its inverse exceeds 1e-12 of the peak.  Plans, twiddles and weights come
+from the one byte-bounded table cache in :mod:`hxkit.dft`, and scratch
+rows from the engine's per-thread workspace, so a warmed call allocates
+a few arrays of the output's size.
+
+Before any of this the signal is scaled to a peak in [1/2, 1) by a power
+of two and the result scaled back.  That is exact, so ordinary input
+keeps its bits, and finite input of any magnitude cannot overflow inside
+the engine.  A result beyond the float64 range (possible only for peaks
+near 1.8e308) raises :class:`~hxkit.errors.ResultOverflowError`.
 
 Grid metadata (x0, dx) rides along unchanged: the multipliers are
 dimensionless, so spacing only matters to quadrature oracles that need the
@@ -61,13 +58,12 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .dft import (
-    DftPlan,
     _inverse_into,
+    _table,
     _transform_size,
     _unit_roots,
     dft_forward,
@@ -78,6 +74,7 @@ from .dft import (
 from .errors import (
     DataError,
     DegenerateFitError,
+    DomainError,
     InvalidSizeError,
     ResultOverflowError,
     SingularFrequencyError,
@@ -113,9 +110,9 @@ class Branch(Enum):
 
 
 def _as_branch(branch) -> Branch:
-    if isinstance(branch, Branch):
-        return branch
-    return Branch(str(branch))
+    if isinstance(branch, Branch) or branch in ("plus", "minus"):
+        return Branch(branch)
+    raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
 
 
 @dataclass(frozen=True)
@@ -183,34 +180,13 @@ def log_image(s, branch):
     return complex(img) if img.ndim == 0 else img
 
 
-@lru_cache(maxsize=32)
-def _cached_plan(n: int) -> DftPlan:
-    return plan(n)
-
-
-@lru_cache(maxsize=32)
-def _odd_first_bins(n: int) -> np.ndarray:
-    """Read-only :func:`multiplier_bins` table of the odd-n first form.
-
-    Even n never needs the full-length table: its first form runs on
-    :func:`_first_form_bins`.  Each entry is no larger than the plan that
-    :func:`_cached_plan` keeps for the same n."""
-    m = multiplier_bins(n)
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=32)
 def _pack_twiddles(n: int) -> np.ndarray:
     """-(i/2)*w^k for k <= n/2, w = exp(-2*pi*i/n): the unpack twiddles."""
-    t = -0.5j * _unit_roots(np.arange(n // 2 + 1), n)
-    t.setflags(write=False)
-    return t
+    return -0.5j * _unit_roots(np.arange(n // 2 + 1), n)
 
 
-@lru_cache(maxsize=32)
-def _first_form_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with Z'[k] = i*a[k]*Z[k] + b[k]*conj Z[n/2-k] for k < n/2.
+def _first_form_bins(n: int) -> np.ndarray:
+    """Rows (a, b) with Z'[k] = i*a[k]*Z[k] + b[k]*conj Z[n/2-k] for k < n/2.
 
     Unpacking bins 0..n/2 of the spectrum from the packed transform Z
     (X[k] = (A+B)/2 + t[k]*(A-B) with A = Z[k], B = conj Z[n/2-k]),
@@ -228,18 +204,14 @@ def _first_form_bins(n: int) -> tuple[np.ndarray, np.ndarray]:
     if np.any(m.real):
         raise InvariantBreach("the first-form multiplier is not imaginary")
     lo, hi = m.imag[:nh], m.imag[nh:0:-1]  # m1 = i*lo, m2 = -i*hi
-    t = _pack_twiddles(n)[:nh]
-    a = 0.5 * (lo - hi) + (lo + hi) * t.real
-    b = (lo + hi) * t.imag
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+    t = _table("pack twiddles", n, _pack_twiddles)[:nh]
+    return np.stack((0.5 * (lo - hi) + (lo + hi) * t.real, (lo + hi) * t.imag))
 
 
 def _packed_forward(x: np.ndarray) -> np.ndarray:
     """Forward DFT of the packed sequence z[m] = x[2m] + i*x[2m+1] of real
     x (even N), one length-N/2 transform; z is a view, not a copy."""
-    return dft_forward(_cached_plan(x.shape[0] // 2), x.view(np.complex128))
+    return dft_forward(_table("plan", x.shape[0] // 2, plan), x.view(np.complex128))
 
 
 def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -249,7 +221,7 @@ def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     - (i/2)*w^k*(Z[k] - conj Z[N/2-k]).  ``scratch`` has at least N/2 bins.
     """
     nh = z.shape[0]
-    t = _pack_twiddles(2 * nh)
+    t = _table("pack twiddles", 2 * nh, _pack_twiddles)
     b = scratch[:nh]
     np.conjugate(z[:0:-1], out=b[1:])
     b[0] = np.conj(z[0])
@@ -267,7 +239,7 @@ def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     The product is formed in place in the spectrum and inverted into it,
     so the call allocates only the spectrum."""
     n = x.shape[0]
-    p = _cached_plan(n)
+    p = _table("plan", n, plan)
     X = dft_forward(p, x)
     _inverse_into(p, np.multiply(X, m, out=X), X, 1.0 / n)
     return X
@@ -276,7 +248,7 @@ def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _first_form_repack(Z: np.ndarray, out: np.ndarray) -> None:
     """out[k] = i*a[k]*Z[k] + b[k]*conj Z[N/2-k], the repacked first-form
     product (:func:`_first_form_bins`), in six real passes; Z is overwritten."""
-    a, b = (w[1:] for w in _first_form_bins(2 * Z.shape[0]))
+    a, b = _table("first form", 2 * Z.shape[0], _first_form_bins)[:, 1:]
     zr, zi = Z.real, Z.imag
     re, im = out.real[1:], out.imag[1:]
     np.multiply(b, zr[:0:-1], out=re)
@@ -301,23 +273,17 @@ def _first_form(x: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         zp = x.view(np.complex128)
         _first_form_repack(_packed_forward(x), zp)
-        return dft_inverse(_cached_plan(n // 2), zp).view(np.float64)
-    out = _full_length(x, _odd_first_bins(n))
-    peak = _peak(x)
-    residue = _peak(out.imag)
-    if residue > 1e-12 * peak:
-        raise InvariantBreach(
-            f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {peak:.3e}"
-        )
+        return dft_inverse(_table("plan", n // 2, plan), zp).view(np.float64)
+    out = _full_length(x, _table("first bins", n, multiplier_bins))
+    if (residue := _peak(out.imag)) > 1e-12 * (peak := _peak(x)):
+        raise InvariantBreach(f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {peak:.3e}")
     x[...] = out.real
     return x
 
 
 def _halfband_plus(x: np.ndarray) -> np.ndarray:
-    """Plus-branch second form through the half-length inverse (even N).
-
-    ``x`` is a scratch copy whose memory the unpack reuses.
-    """
+    """Plus-branch second form through the half-length inverse (even N);
+    ``x`` is a scratch copy whose memory the unpack reuses."""
     n = x.shape[0]
     nh = n // 2
     bins = np.empty(nh + 1, dtype=np.complex128)
@@ -327,7 +293,7 @@ def _halfband_plus(x: np.ndarray) -> np.ndarray:
     # has -0.0, which would flip the sign of some zero products)
     bins[1:nh] *= complex(0.0, -2.0)
     bins[::nh] *= complex(0.0, -1.0)
-    return dft_inverse_halfband(_cached_plan(nh), bins)
+    return dft_inverse_halfband(_table("plan", nh, plan), bins)
 
 
 def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:

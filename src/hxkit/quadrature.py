@@ -128,9 +128,10 @@ def _eval_indices(f: GridFunction, x_eval) -> np.ndarray:
         return np.arange(len(f))
     h = f.spacing
     xs = np.atleast_1d(np.asarray(x_eval, dtype=np.float64))
-    idx = np.rint((xs - f.nodes[0]) / h).astype(int)
-    bad = (idx < 0) | (idx >= len(f))
-    if np.any(bad) or np.abs(f.nodes[np.clip(idx, 0, len(f) - 1)] - xs).max() > 1e-9 * h:
+    pos = np.rint((np.clip(xs, f.nodes[0] - h, f.nodes[-1] + h) - f.nodes[0]) / h)
+    ok = (pos >= 0) & (pos < len(f))  # false for NaN; clipped, no index overflows
+    idx = np.where(ok, pos, 0).astype(int)
+    if not ok.all() or np.abs(f.nodes[idx] - xs).max() > 1e-9 * h:
         raise DomainError("evaluation points must coincide with grid nodes")
     if idx.shape[0] < 3 or np.any(np.diff(idx) <= 0):  # the nodes of the result
         raise DomainError("x_eval must name at least 3 grid nodes, strictly increasing")

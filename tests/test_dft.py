@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import table_arrays
 from hxkit import dft
 from hxkit.dft import (
     BLUESTEIN,
@@ -286,7 +287,9 @@ class TestHalfband:
         p = plan(nh)
         even = v[:nh].copy()
         even[0] += v[nh]
-        odd = v[:nh] * dft._double_twiddle(nh)  # exp(+2*pi*i*j/N)
+        # the cached table, as the call reads it; a fresh one would be a
+        # temporary that numpy multiplies in place, operands swapped
+        odd = v[:nh] * dft._table("double twiddle", nh, dft._double_twiddle)  # exp(+2*pi*i*j/N)
         odd[0] -= v[nh]
         want = np.empty(2 * nh, dtype=np.complex128)
         want[0::2] = dft_inverse(p, even) * 0.5
@@ -415,6 +418,56 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors and not mismatches
+
+
+class TestTableCache:
+    """Per-size tables sit in one least-recently-used cache keyed by (kind, n)
+    and bounded by the bytes it holds (``dft._table``)."""
+
+    @staticmethod
+    def zeros(kind, n, built):
+        def build(k):
+            built.append((kind, k))
+            return np.zeros(k)  # 8*k bytes
+        return dft._table(kind, n, build)
+
+    def test_a_hit_returns_the_same_read_only_table(self, fresh_tables):
+        built = []
+        t = self.zeros("a", 8, built)
+        assert self.zeros("a", 8, built) is t and built == [("a", 8)]
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 1.0
+
+    def test_entries_are_keyed_by_kind_not_by_builder(self, fresh_tables):
+        # a tracer rebinds the plan builder; its wrapper must find the entry
+        p = dft._table("plan", 12, plan)
+        assert dft._table("plan", 12, lambda n: pytest.fail("rebuilt")) is p
+        assert dft._table("other plan", 12, plan) is not p
+
+    def test_least_recently_used_go_first_and_the_newest_stays(self, fresh_tables,
+                                                               monkeypatch):
+        monkeypatch.setattr(dft, "_TABLE_BUDGET", 3 * 800)
+        built = []
+        for kind in "abc":
+            self.zeros(kind, 100, built)  # 800 bytes each: all three fit
+        self.zeros("a", 100, built)  # a hit makes a the most recent
+        self.zeros("d", 100, built)  # so b, the least recent, goes
+        assert list(dft._TABLES) == [("c", 100), ("a", 100), ("d", 100)]
+        assert dft._table_bytes == 2400
+        self.zeros("e", 1000, built)  # 8000 bytes, over the budget alone
+        assert list(dft._TABLES) == [("e", 1000)] and dft._table_bytes == 8000
+        self.zeros("b", 100, built)
+        assert list(dft._TABLES) == [("b", 100)] and dft._table_bytes == 800
+        assert built.count(("b", 100)) == 2
+
+    @pytest.mark.parametrize("n", [1, 1024, 1009])
+    def test_plan_bytes_count_every_table_and_the_pad_plans(self, n):
+        p = plan(n)
+        arrays = table_arrays(p)
+        assert p.nbytes == sum(a.nbytes for a in arrays)
+        assert (p.pad_plan is not None) == (n == 1009)
+        assert all(not a.flags.writeable for a in arrays)
 
 
 @given(a=st.integers(0, 24), b=st.integers(0, 15), c=st.integers(0, 10),

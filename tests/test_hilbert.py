@@ -1,5 +1,7 @@
 import importlib
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -16,9 +18,11 @@ from _oracles import (
     periodized_line_hilbert_gaussian,
     spectral_oracle,
 )
+from conftest import table_arrays
 from hxkit.errors import (
     DataError,
     DegenerateFitError,
+    DomainError,
     InvalidSizeError,
     InvariantBreach,
     ResultOverflowError,
@@ -94,6 +98,14 @@ class TestMultiplierValues:
         assert np.array_equal(multiplier_bins(8, "minus"), multiplier_bins(8, Branch.MINUS))
         with pytest.raises(ValueError):
             multiplier_bins(8, "neither")
+
+    # a DomainError is a ValueError, and the CLI exits 2 on either
+    @pytest.mark.parametrize("bad", ["bogus", "PLUS", "", 1])
+    def test_unknown_branch_is_a_domain_error_naming_both(self, bad):
+        with pytest.raises(DomainError, match="branch must be 'plus' or 'minus'"):
+            log_image(0.5, bad)
+        with pytest.raises(DomainError, match=repr(bad)):
+            hilbert_second(Signal(seeded(1, 8)), bad)
 
     def test_public_table_is_fresh_while_odd_first_form_uses_a_cached_one(self):
         # the odd first form reads a cached read-only table; callers of the
@@ -402,6 +414,124 @@ class TestTraceBoundary:
         got = hilbert_second(f, Branch.PLUS, halfband=True).samples
         assert lengths == [n // 2 + 1]
         assert np.array_equal(got, want)
+
+    @staticmethod
+    def count_plans(monkeypatch):
+        import hxkit.hilbert as hilbert
+
+        built, bound = [], hilbert.plan
+        monkeypatch.setattr(hilbert, "plan", lambda n: built.append(n) or bound(n))
+        return built
+
+    # the cache is keyed by the string "plan", not by the builder, so the
+    # rebound name builds a plan on a miss and finds it on every later hit
+    @pytest.mark.parametrize("n", [3000, 3001])
+    def test_cold_call_builds_its_plan_once_through_the_bound_name(self, monkeypatch,
+                                                                    fresh_tables, n):
+        built = self.count_plans(monkeypatch)
+        hilbert_first(Signal(seeded(n, n)))
+        assert built == [n // 2 if n % 2 == 0 else n]
+
+    def test_warm_calls_at_2_20_build_no_plan(self, monkeypatch, fresh_tables):
+        n = 1 << 20
+        f = Signal(seeded(n, n))
+        calls = [lambda: hilbert_first(f), lambda: analytic_signal(f),
+                 lambda: hilbert_second(f, Branch.MINUS),
+                 lambda: hilbert_second(f, Branch.PLUS, halfband=True)]
+        for call in calls:
+            call()
+        built = self.count_plans(monkeypatch)
+        for call in calls:
+            call()
+        assert built == []
+
+
+class TestTableCache:
+    """Plans, twiddles and weights come from the one byte-bounded table
+    cache in dft, shared by every thread."""
+
+    def test_every_table_the_cache_holds_is_read_only(self, fresh_tables):
+        for n in (64, 63, 5794, 5793):  # Stockham and Bluestein, even and odd
+            f = Signal(seeded(n, n))
+            hilbert_first(f)
+            analytic_signal(f)
+            hilbert_second(f, Branch.MINUS)
+            if n % 2 == 0:
+                hilbert_second(f, Branch.PLUS, halfband=True)
+        kinds = {kind for kind, _ in fresh_tables}
+        assert kinds == {"plan", "pack twiddles", "first form", "first bins", "double twiddle"}
+        for table in fresh_tables.values():
+            assert all(not a.flags.writeable for a in table_arrays(table))
+
+    def test_two_threads_on_different_sizes_match_one_thread(self, fresh_tables,
+                                                             monkeypatch):
+        dft = importlib.import_module("hxkit.dft")
+        pairs = ((4096, 3**7), (5794, 1 << 14))
+
+        def run(n):
+            f = Signal(seeded(n, n))
+            outs = [hilbert_first(f), analytic_signal(f), hilbert_second(f, Branch.MINUS)]
+            if n % 2 == 0:
+                outs.append(hilbert_second(f, Branch.PLUS, halfband=True))
+            return [o.samples.tobytes() for o in outs]
+
+        # a budget below the tables of two sizes: each call evicts and
+        # rebuilds tables, in the threads while the other reads its own
+        monkeypatch.setattr(dft, "_TABLE_BUDGET", 1 << 18)
+        want = {n: run(n) for pair in pairs for n in pair}
+        mismatches, errors = [], []
+        start = threading.Barrier(2, timeout=30)
+
+        def worker(pair):
+            try:
+                start.wait()
+                for i in range(20):
+                    n = pair[i % 2]
+                    if run(n) != want[n]:
+                        mismatches.append(n)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(pair,)) for pair in pairs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and not mismatches
+        assert dft._table_bytes == sum(t.nbytes for t in fresh_tables.values())
+        assert dft._table_bytes <= dft._TABLE_BUDGET or len(fresh_tables) == 1
+
+    @pytest.mark.slow
+    def test_forty_sizes_near_2_19_keep_the_tables_within_the_budget(self, fresh_tables,
+                                                                     monkeypatch):
+        # with one entry-count-bounded cache per kind, 33 sizes from 2^18 to
+        # 393 660 held 153 MB of half-length plans alone
+        dft = importlib.import_module("hxkit.dft")
+        smooth = (2**a * 3**b * 5**c for a in range(1, 21) for b in range(13) for c in range(9))
+        sizes = sorted(smooth, key=lambda n: abs(math.log2(n) - 19))[:40]
+        monkeypatch.setattr(dft._WORKSPACE, "buffers", {}, raising=False)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in sizes:
+                hilbert_first(Signal(np.random.default_rng(n).standard_normal(n)))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        held -= sum(b.nbytes for b in dft._WORKSPACE.buffers.values())
+        newest = next(reversed(fresh_tables.values())).nbytes
+        assert dft._table_bytes == sum(t.nbytes for t in fresh_tables.values())
+        assert dft._table_bytes <= dft._TABLE_BUDGET
+        assert ("plan", sizes[0] // 2) not in fresh_tables  # the first went
+        # what the loop left allocated, less the workspace's rows: the
+        # tables, and at most 1 MiB of Python objects
+        assert held <= dft._TABLE_BUDGET + newest + (1 << 20), (held, dft._table_bytes)
 
 
 class TestPackedPath:

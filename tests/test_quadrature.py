@@ -174,6 +174,14 @@ class TestEvalPoints:
         with pytest.raises(DomainError, match="x_eval"):
             self.ROUTES[route](gauss_grid(64), xs)
 
+    # the points are checked before their float index is cast to int, where
+    # numpy would warn on these first (a RuntimeWarning fails this suite)
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+    def test_non_finite_or_far_point_rejected_without_a_warning(self, route, bad):
+        with pytest.raises(DomainError, match="grid nodes"):
+            self.ROUTES[route](gauss_grid(64), [-1.0, 0.0, bad])
+
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_three_increasing_nodes_accepted(self, route):
         g = gauss_grid(64)
