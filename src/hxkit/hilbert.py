@@ -41,11 +41,13 @@ from the one byte-bounded table cache in :mod:`hxkit.dft`, and scratch
 rows from the engine's per-thread workspace, so a warmed call allocates
 a few arrays of the output's size.
 
-Before any of this the signal is scaled to a peak in [1/2, 1) by a power
-of two and the result scaled back.  That is exact, so ordinary input
-keeps its bits, and finite input of any magnitude cannot overflow inside
-the engine.  A result beyond the float64 range (possible only for peaks
-near 1.8e308) raises :class:`~hxkit.errors.ResultOverflowError`.
+No route writes into its input: each reads the samples in place (copied
+once to contiguous float64 if strided, float32 or complex) and allocates
+only its spectrum and its result.  A peak outside [2^-513, 2^512) is
+first scaled into [1/2, 1) by a power of two and the result scaled back
+(:func:`_at_unit_scale`), which is exact, so finite input of any
+magnitude cannot overflow inside the engine.  A result beyond the float64
+range (peaks near 1.8e308) raises :class:`~hxkit.errors.ResultOverflowError`.
 
 Grid metadata (x0, dx) rides along unchanged: the multipliers are
 dimensionless, so spacing only matters to quadrature oracles that need the
@@ -66,6 +68,7 @@ from .dft import (
     _table,
     _transform_size,
     _unit_roots,
+    _workspace,
     dft_forward,
     dft_inverse,
     dft_inverse_halfband,
@@ -186,7 +189,7 @@ def _pack_twiddles(n: int) -> np.ndarray:
 
 
 def _first_form_bins(n: int) -> np.ndarray:
-    """Rows (a, b) with Z'[k] = i*a[k]*Z[k] + b[k]*conj Z[n/2-k] for k < n/2.
+    """Rows (a, b) with Z'[k] = i*a[k]*Z[k] + b[k]*conj Z[n/2-k], 0 < k < n/2.
 
     Unpacking bins 0..n/2 of the spectrum from the packed transform Z
     (X[k] = (A+B)/2 + t[k]*(A-B) with A = Z[k], B = conj Z[n/2-k]),
@@ -197,15 +200,11 @@ def _first_form_bins(n: int) -> np.ndarray:
     m1 = m[k] and m2 = conj m[n/2-k].  The first-form multiplier i*sgn is
     imaginary, so alpha = i*a is imaginary and beta = b real; with
     sgn = 0 at DC and Nyquist they are a = -sin(2*pi*k/n) and
-    b = -cos(2*pi*k/n), exactly, with a[0] = b[0] = 0.
+    b = -cos(2*pi*k/n), exactly (a = b = 0 at k = 0, where Z'[0] = 0), so
+    they are read off the roots w^k = cos - i*sin, a table never cached.
     """
-    nh = n // 2
-    m = multiplier_bins(n)[: nh + 1]
-    if np.any(m.real):
-        raise InvariantBreach("the first-form multiplier is not imaginary")
-    lo, hi = m.imag[:nh], m.imag[nh:0:-1]  # m1 = i*lo, m2 = -i*hi
-    t = _table("pack twiddles", n, _pack_twiddles)[:nh]
-    return np.stack((0.5 * (lo - hi) + (lo + hi) * t.real, (lo + hi) * t.imag))
+    w = _unit_roots(np.arange(1, n // 2), n)
+    return np.stack((w.imag, -w.real))
 
 
 def _packed_forward(x: np.ndarray) -> np.ndarray:
@@ -248,7 +247,7 @@ def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _first_form_repack(Z: np.ndarray, out: np.ndarray) -> None:
     """out[k] = i*a[k]*Z[k] + b[k]*conj Z[N/2-k], the repacked first-form
     product (:func:`_first_form_bins`), in six real passes; Z is overwritten."""
-    a, b = _table("first form", 2 * Z.shape[0], _first_form_bins)[:, 1:]
+    a, b = _table("first form", 2 * Z.shape[0], _first_form_bins)
     zr, zi = Z.real, Z.imag
     re, im = out.real[1:], out.imag[1:]
     np.multiply(b, zr[:0:-1], out=re)
@@ -258,55 +257,68 @@ def _first_form_repack(Z: np.ndarray, out: np.ndarray) -> None:
     np.multiply(rev, b, out=rev)  # in place: Im Z[k] has been read
     np.multiply(a, zr[1:], out=im)
     im -= rev  # a*Re Z[k] - b*Im Z[N/2-k]
-    out[0] = 0.0  # a[0] = b[0] = 0
+    out[0] = 0.0  # Z'[0] = 0
+
+
+def _spare_row(p) -> np.ndarray:
+    """p.size values a transform by ``p`` reads before it writes them: row 1
+    of the workspace its stages (its pad's, if Bluestein) run in."""
+    return _workspace((p.pad_plan or p).size)[1][: p.size]
 
 
 def _first_form(x: np.ndarray) -> np.ndarray:
     """H x for real x: the packed path for even N, the complex one for odd.
 
-    ``x`` is a scratch copy.  On the even path it holds the repacked
-    product, whose length-N/2 inverse is y[2m] + i*y[2m+1], so the output
-    is real by construction.  On the odd path it receives the real part
-    of the length-N pipeline's output.
+    Neither writes into ``x``.  The even path repacks the product into the
+    spare row; its length-N/2 inverse is y[2m] + i*y[2m+1], real by
+    construction.  The odd path copies out the real part of its output.
     """
     n = x.shape[0]
     if n % 2 == 0:
-        zp = x.view(np.complex128)
-        _first_form_repack(_packed_forward(x), zp)
-        return dft_inverse(_table("plan", n // 2, plan), zp).view(np.float64)
+        p = _table("plan", n // 2, plan)
+        _first_form_repack(_packed_forward(x), zp := _spare_row(p))
+        return dft_inverse(p, zp).view(np.float64)
     out = _full_length(x, _table("first bins", n, multiplier_bins))
     if (residue := _peak(out.imag)) > 1e-12 * (peak := _peak(x)):
         raise InvariantBreach(f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {peak:.3e}")
-    x[...] = out.real
-    return x
+    return out.real.copy()
 
 
 def _halfband_plus(x: np.ndarray) -> np.ndarray:
     """Plus-branch second form through the half-length inverse (even N);
-    ``x`` is a scratch copy whose memory the unpack reuses."""
-    n = x.shape[0]
-    nh = n // 2
+    the unpack's scratch is the spare row."""
+    nh = x.shape[0] // 2
+    p = _table("plan", nh, plan)
     bins = np.empty(nh + 1, dtype=np.complex128)
-    _unpack(_packed_forward(x), bins, x.view(np.complex128))
+    _unpack(_packed_forward(x), bins, _spare_row(p))
     # multiplier_bins(n, Branch.PLUS) on bins 0..n/2 is -2i between DC and
     # Nyquist and -i at both, each with a +0.0 real part (the literal -2j
     # has -0.0, which would flip the sign of some zero products)
     bins[1:nh] *= complex(0.0, -2.0)
     bins[::nh] *= complex(0.0, -1.0)
-    return dft_inverse_halfband(_table("plan", nh, plan), bins)
+    return dft_inverse_halfband(p, bins)
 
 
 def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
-    """transform(x) computed on x scaled to a peak in [1/2, 1) by a power of 2.
+    """transform(x) on x itself or at a unit peak; the result is finite.
 
-    Every public transform enters here.  The transforms are linear and
-    scaling by 2**e is exact, so ordinary input keeps the same bits while
-    finite input of any magnitude stays clear of overflow inside the
-    engine.  A zero signal has e = 0 and passes through unscaled.  A
-    result whose peak would exceed the float64 range after scaling back
-    raises :class:`~hxkit.errors.ResultOverflowError`.
+    Every public transform enters here; ``transform`` only reads ``x``.
+    Within the window below it runs on ``x``: no copy, no scale-back and no
+    scan of an output that cannot overflow.  Outside, x is scaled to a peak
+    in [1/2, 1) by an exact power of 2 and the result scaled back, so such
+    input keeps the bits of the unit-scale run; a result past the float64
+    range raises :class:`~hxkit.errors.ResultOverflowError`.
     """
     e = _peak_exponent(x)
+    # The window: a peak in [2^(e-1), 2^e) with |e| <= 512.  An output is at
+    # most N peaks, a value inside a route at most 128*N^4 (a length-n
+    # Bluestein pass holds m^3, m < 4n, and an inverse's unscaled stages take
+    # 2N peaks), under 2^183 for N < 2^44: below 2^695, so nothing overflows.
+    # For e >= -512 each value of at least 2^-509 peaks is normal and rounds
+    # as at unit scale, 2^e times smaller; only terms far under the output's
+    # rounding can be subnormal.
+    if abs(e) <= 512:
+        return transform(x)
     out = transform(np.ldexp(x, -e))
     parts = out.view(np.float64)
     top = _peak_exponent(parts) + e
@@ -329,24 +341,32 @@ def _peak_exponent(a: np.ndarray) -> int:
 
 
 def _require_real(f: Signal, op: str) -> np.ndarray:
+    """The samples as one contiguous float64 array, copied only if they are not."""
     x = f.samples
     if np.iscomplexobj(x) and x.imag.any():
         raise DataError(f"{op} expects a real-valued signal")
-    return x.real.astype(np.float64, copy=False)
+    return np.ascontiguousarray(x.real, dtype=np.float64)
+
+
+def _result(f: Signal, samples: np.ndarray) -> Signal:
+    """f.with_samples(samples) without re-scanning a finite result."""
+    out = object.__new__(Signal)
+    out.__dict__.update(samples=samples, x0=f.x0, dx=f.dx)
+    return out
 
 
 def hilbert_first(f: Signal) -> Signal:
     """Classical discrete Hilbert transform (multiplier i*sgn(s)); real output.
 
-    DC and Nyquist content is annihilated.  The signal is first scaled to a
-    peak in [1/2, 1) by a power of two, which is exact.  Even lengths run
-    one length-N/2 forward DFT of the packed real signal and one length-N/2
-    inverse whose output is real by construction.  Odd lengths run the
-    length-N pipeline; the imaginary residue of its inverse is checked
-    against 1e-12*max|f| and truncated.
+    DC and Nyquist content is annihilated.  A peak outside [2^-513, 2^512)
+    is first scaled into [1/2, 1) by a power of two, which is exact.  Even
+    lengths run one length-N/2 forward DFT of the packed real signal and
+    one length-N/2 inverse whose output is real by construction.  Odd
+    lengths run the length-N pipeline; the imaginary residue of its
+    inverse is checked against 1e-12*max|f| and truncated.
     """
     x = _require_real(f, "hilbert_first")
-    return f.with_samples(_at_unit_scale(x, _first_form))
+    return _result(f, _at_unit_scale(x, _first_form))
 
 
 def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
@@ -361,8 +381,8 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
     multiplied spectrum (plus branch) and the inverse stage runs at half
     length (:func:`hxkit.dft.dft_inverse_halfband`); the minus branch is
     the conjugate of the plus-branch output, taken in place and valid for
-    real f.  Requires even length.  Every route runs at unit scale, as in
-    :func:`hilbert_first`.
+    real f.  Requires even length.  Every route scales its input as
+    :func:`hilbert_first` does.
     """
     b = _as_branch(branch)
     x = _require_real(f, "hilbert_second")
@@ -370,12 +390,12 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
         if len(x) % 2:
             raise InvalidSizeError("halfband inverse needs an even signal length")
         z = _at_unit_scale(x, _halfband_plus)
-        return f.with_samples(z if b is Branch.PLUS else np.conjugate(z, out=z))
+        return _result(f, z if b is Branch.PLUS else np.conjugate(z, out=z))
     h = _at_unit_scale(x, _first_form)
     z = np.empty(len(h), dtype=np.complex128)
     np.negative(h, out=z.real)
     np.multiply(x, -b.sign, out=z.imag)
-    return f.with_samples(z)
+    return _result(f, z)
 
 
 def _log_image_route(x: np.ndarray, b: Branch) -> np.ndarray:
@@ -399,12 +419,12 @@ def hilbert_second_via_log_image(f: Signal, branch) -> Signal:
     convolution.  Their product collapses to -i*(sgn(s) +/- 1) away from
     s = 0, with the frequency scale cancelling between the first two
     factors.  At DC (and Nyquist, where sgn is pinned to 0) the finite
-    product limit -/+ i is used directly.  Runs at unit scale, as in
-    :func:`hilbert_first`.
+    product limit -/+ i is used directly.  Scales its input as
+    :func:`hilbert_first` does.
     """
     b = _as_branch(branch)
     x = _require_real(f, "hilbert_second_via_log_image")
-    return f.with_samples(_at_unit_scale(x, lambda v: _log_image_route(v, b)))
+    return _result(f, _at_unit_scale(x, lambda v: _log_image_route(v, b)))
 
 
 def analytic_signal(f: Signal) -> Signal:
@@ -416,7 +436,7 @@ def analytic_signal(f: Signal) -> Signal:
     z = np.empty(len(h), dtype=np.complex128)
     z.real = x
     np.subtract(0.0, h, out=z.imag)  # np.negative would turn a zero of H f into -0.0
-    return f.with_samples(z)
+    return _result(f, z)
 
 
 @dataclass(frozen=True)
