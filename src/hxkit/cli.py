@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--start", type=float, default=0.0,
                    help="start point as a curve-parameter fraction in [0,1)")
     c.add_argument("--point", required=True, help="evaluation point zx,zy (interior)")
-    c.add_argument("--nodes", type=int, default=4096)
+    c.add_argument("--nodes", type=int, default=4096,
+                   help="quadrature nodes, rounded to whole 16-node panels (default 4096)")
     c.set_defaults(func=cmd_contour)
     return parser
 

@@ -11,12 +11,12 @@ compared by the verify suite; this module just does the geometry and
 quadrature honestly.
 
 Curves are discretized per smooth segment (a circle is one segment, a
-rectangle one per side) and integrated with composite Simpson on each
-segment.  The unwrapped argument lives on a single chain of nodes running
-once around the curve, so the closing node carries the accumulated value,
-not a copy of the starting one; corner nodes are shared between adjacent
-segments but appear once in the chain.  The classical Cauchy integral uses
-the periodic trapezoid rule on circles, where it is spectrally accurate.
+rectangle one per side) into composite 16-point Gauss-Legendre panels in
+the segment's own parameter, and both integrals are one weighted sum over
+the nodes: exponentially accurate on any smooth segment, periodic or not.
+The unwrapped argument lives on a single chain running once around the
+curve, from the start point through every node to a separate closing
+node, which carries the accumulated value, not a copy of the starting one.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ __all__ = [
     "unwrap_argument",
 ]
 
-_MIN_NODES = 16
+_PANEL = 16  # Gauss-Legendre nodes per panel
+_MIN_NODES = _PANEL
 _INTERIOR_TOL = 1e-6
 _DISTANCE_RTOL = 1e-3
 
@@ -82,13 +83,12 @@ class AnalyticTestFunction:
 
 @dataclass(frozen=True)
 class Segment:
-    """One smooth piece of a curve: nodes, dz/dt at the nodes, and the span
-    of the global parameter it covers.  Node count is even so composite
-    Simpson applies directly."""
+    """One smooth piece of a curve: its Gauss-Legendre nodes, in order, and
+    their weights (the panel weights in the segment's own parameter times
+    dz/dt), so that sum(weights * g(points)) integrates g dz along it."""
 
     points: np.ndarray
-    dzdt: np.ndarray
-    tspan: float
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,15 @@ def unwrap_argument(raw_args) -> BranchTrace:
     return BranchTrace(angles=angles, winding=float(angles[-1] - angles[0]))
 
 
-def _even_at_least(n: int) -> int:
-    n = max(2, int(n))
-    return n + (n % 2)
+def _panels(nodes: int, share: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of max(1, round(nodes*share/16)) equal
+    16-point Gauss-Legendre panels."""
+    from numpy.polynomial.legendre import leggauss  # not at import: hx start-up
+
+    count = max(1, round(nodes * share / _PANEL))
+    x, w = leggauss(_PANEL)
+    u = (np.arange(count)[:, None] + (x + 1.0) / 2.0) / count
+    return u.ravel(), np.tile(w / (2.0 * count), count)
 
 
 @dataclass(frozen=True)
@@ -135,18 +141,11 @@ class JordanCurve:
     segments: Tuple[Segment, ...]
     start: complex
 
-    def __post_init__(self):
-        first = self.segments[0].points[0]
-        last = self.segments[-1].points[-1]
-        if abs(first - last) > 1e-12 * max(1.0, abs(first)):
-            raise GeometryError("curve is not closed")
-
     def chain(self) -> np.ndarray:
-        """All nodes once around the curve; the closing node is a separate
-        final entry (same point as the start, its own branch value)."""
-        parts = [self.segments[0].points]
-        parts += [s.points[1:] for s in self.segments[1:]]
-        return np.concatenate(parts)
+        """The start, then every node once around the curve; the closing
+        node is a separate final entry (same point as the start, its own
+        branch value)."""
+        return np.concatenate([[self.start], *(s.points for s in self.segments), [self.start]])
 
     @classmethod
     def circle(cls, center, radius, nodes=4096, t0=0.0) -> "JordanCurve":
@@ -154,12 +153,11 @@ class JordanCurve:
             raise GeometryError("radius must be positive")
         if nodes < _MIN_NODES:
             raise InvalidSizeError(f"need at least {_MIN_NODES} nodes")
-        m = _even_at_least(nodes)
-        t = 2.0 * math.pi * (t0 + np.linspace(0.0, 1.0, m + 1))
-        z = complex(center) + radius * np.exp(1j * t)
-        dzdt = 2j * math.pi * radius * np.exp(1j * t)
-        seg = Segment(points=z, dzdt=dzdt, tspan=1.0)
-        return cls(kind="circle", segments=(seg,), start=complex(z[0]))
+        u, w = _panels(nodes)
+        z = complex(center) + radius * np.exp(2j * math.pi * (t0 + u))
+        seg = Segment(points=z, weights=2j * math.pi * (z - complex(center)) * w)
+        start = complex(center) + radius * np.exp(2j * math.pi * t0)
+        return cls(kind="circle", segments=(seg,), start=start)
 
     @classmethod
     def rectangle(cls, x0, y0, x1, y1, nodes=4096, t0=0.0) -> "JordanCurve":
@@ -191,13 +189,8 @@ class JordanCurve:
 
         segments = []
         for a, b in zip(cycle[:-1], cycle[1:]):
-            ln = abs(b - a)
-            m = _even_at_least(round(nodes * ln / perimeter))
-            u = np.linspace(0.0, 1.0, m + 1)
-            tspan = ln / perimeter
-            points = a + u * (b - a)
-            dzdt = np.full(m + 1, (b - a) / tspan, dtype=np.complex128)
-            segments.append(Segment(points=points, dzdt=dzdt, tspan=tspan))
+            u, w = _panels(nodes, abs(b - a) / perimeter)
+            segments.append(Segment(points=a + u * (b - a), weights=(b - a) * w))
         return cls(kind="rectangle", segments=tuple(segments), start=complex(cycle[0]))
 
 
@@ -211,26 +204,15 @@ class LogIntegralResult:
     winding: float
 
 
-def _simpson(values: np.ndarray, tspan: float) -> complex:
-    m = values.shape[0] - 1
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return complex((tspan / m) / 3.0 * np.dot(w, values))
-
-
-def _interior_trace(curve: JordanCurve, z: complex) -> BranchTrace:
-    chain = curve.chain()
+def _interior_trace(chain: np.ndarray, w: np.ndarray) -> BranchTrace:
+    """The unwrapped argument of w = +/-(chain - z) along the chain, once z
+    is found inside the curve and clear of it."""
     scale = float(np.abs(chain - chain.mean()).max())
-    if float(np.abs(chain - z).min()) < _DISTANCE_RTOL * scale:
+    if float(np.abs(w).min()) < _DISTANCE_RTOL * scale:
         raise GeometryError("evaluation point is too close to the curve")
-    return unwrap_argument(np.angle(chain - z))
-
-
-def _require_interior(curve: JordanCurve, z: complex) -> None:
-    trace = _interior_trace(curve, z)
+    trace = unwrap_argument(np.angle(w))
     if abs(trace.winding - 2.0 * math.pi) < _INTERIOR_TOL:
-        return
+        return trace
     if abs(trace.winding) < _INTERIOR_TOL:
         raise GeometryError("evaluation point lies outside the curve")
     raise GeometryError(
@@ -238,24 +220,18 @@ def _require_interior(curve: JordanCurve, z: complex) -> None:
     )
 
 
-def cauchy_integral(f: AnalyticTestFunction, curve: JordanCurve, z) -> complex:
-    """(1/2pi*i) * contour_integral f(z')/(z' - z) dz' for interior z.
+def _weights(curve: JordanCurve) -> np.ndarray:
+    return np.concatenate([s.weights for s in curve.segments])
 
-    Periodic trapezoid on circles (spectrally accurate), composite Simpson
-    per side on rectangles.
-    """
+
+def cauchy_integral(f: AnalyticTestFunction, curve: JordanCurve, z) -> complex:
+    """(1/2pi*i) * contour_integral f(z')/(z' - z) dz' for interior z, one
+    Gauss-Legendre weighted sum over the curve's nodes."""
     z = complex(z)
-    _require_interior(curve, z)
-    total = 0j
-    if curve.kind == "circle":
-        seg = curve.segments[0]
-        g = f.value(seg.points[:-1]) / (seg.points[:-1] - z) * seg.dzdt[:-1]
-        total = complex(g.sum() * (seg.tspan / (len(seg.points) - 1)))
-    else:
-        for seg in curve.segments:
-            g = f.value(seg.points) / (seg.points - z) * seg.dzdt
-            total += _simpson(g, seg.tspan)
-    return total / (2j * math.pi)
+    chain = curve.chain()
+    w = chain - z
+    _interior_trace(chain, w)
+    return complex(np.dot(_weights(curve), f.value(chain[1:-1]) / w[1:-1])) / (2j * math.pi)
 
 
 def log_kernel_line_integral(
@@ -266,26 +242,20 @@ def log_kernel_line_integral(
     ``kernel`` selects ln(z - z') or the reversed ln(z' - z); around a
     closed curve the two differ by a constant i*pi, which integrates
     against f' to zero, so both orders give the same value (the verify
-    suite prints both).  The logarithm's argument is unwrapped along the
-    whole chain from the principal value at the start node, so the closing
-    node carries arg(start) + 2*pi and the integrand is smooth on the
-    parameter interval even though its endpoint values differ.
+    suite prints both).  The logarithm's argument is unwrapped once along
+    the whole chain from the principal value at the start point, so the
+    closing node carries arg(start) + 2*pi; that one trace also gives the
+    winding and distance verdicts.  The integral is one Gauss-Legendre
+    weighted sum over the nodes between.
     """
     z = complex(z)
     if kernel not in ("z-zp", "zp-z"):
         raise DataError(f"kernel must be 'z-zp' or 'zp-z', got {kernel!r}")
-    _require_interior(curve, z)
     chain = curve.chain()
     w = (z - chain) if kernel == "z-zp" else (chain - z)
-    trace = unwrap_argument(np.angle(w))
-    logs = np.log(np.abs(w)) + 1j * trace.angles
-    total = 0j
-    offset = 0
-    for seg in curve.segments:
-        m = len(seg.points) - 1
-        vals = logs[offset : offset + m + 1] * f.derivative(seg.points) * seg.dzdt
-        total += _simpson(vals, seg.tspan)
-        offset += m
+    trace = _interior_trace(chain, w)
+    logs = np.log(np.abs(w[1:-1])) + 1j * trace.angles[1:-1]
+    total = np.dot(_weights(curve), logs * f.derivative(chain[1:-1]))
     return LogIntegralResult(
         value=complex(total / (-2j * math.pi)),
         start=curve.start,

@@ -470,7 +470,7 @@ def corollary_equivalence_report(f: Signal, branch) -> EquivalenceReport:
     xs = x / peak
     # the public H2 is built as -H f -/+ i*f, so its residual would read 0
     h2 = _full_length(xs, multiplier_bins(len(xs), b))
-    h1 = _at_unit_scale(xs, _first_form)
+    h1 = _first_form(xs)  # a unit peak: inside _at_unit_scale's window
     r = h2 + h1  # what c*i*f must explain
     v = 1j * xs
     c = float(np.real(np.vdot(v, r)) / np.sum(xs * xs))  # vdot conjugates arg 1

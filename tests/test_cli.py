@@ -1,6 +1,8 @@
 import argparse
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +315,19 @@ class TestContour:
 
 
 class TestModuleEntry:
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # every hx process pays each module-level import; the contour
+        # panels import leggauss only when a curve is built
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = ("import sys, hxkit.cli; "
+                  "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_python_dash_m(self):
         proc = subprocess.run([sys.executable, "-m", "hxkit", "--help"],
                               capture_output=True, text=True)

@@ -70,7 +70,7 @@ class TestJordanCurve:
     def test_circle_is_closed(self):
         c = JordanCurve.circle(0, 2.0, 64)
         chain = c.chain()
-        assert abs(chain[0] - chain[-1]) < 1e-14
+        assert chain[0] == c.start and chain[-1] == c.start
 
     def test_circle_start_honors_t0(self):
         c = JordanCurve.circle(1 + 2j, 2.0, 64, t0=0.25)
@@ -93,7 +93,7 @@ class TestJordanCurve:
             JordanCurve.rectangle(2, -2, -2, 2)
 
     def test_node_count_near_request(self):
-        # each side rounds its share of the nodes up to an even count
+        # each side rounds its share of the nodes to whole panels
         for t0 in (0.0, 0.375):
             c = JordanCurve.rectangle(-2, -2, 2, 2, 4096, t0=t0)
             assert abs((len(c.chain()) - 1) - 4096) <= 8
@@ -150,7 +150,7 @@ class TestLogKernelLineIntegral:
         curve = JordanCurve.circle(0, 2.0, 4096)
         res = log_kernel_line_integral(POLY, curve, Z_IN)
         pred = POLY.value(Z_IN) - POLY.value(curve.start)
-        assert abs(res.value - pred) < 1e-8
+        assert abs(res.value - pred) < 1e-12
         assert res.start == curve.start
         assert abs(res.winding - 2.0 * math.pi) < 1e-6
 
@@ -171,12 +171,12 @@ class TestLogKernelLineIntegral:
     def test_refinement_stability(self):
         a = log_kernel_line_integral(POLY, JordanCurve.circle(0, 2.0, 4096), Z_IN).value
         b = log_kernel_line_integral(POLY, JordanCurve.circle(0, 2.0, 8192), Z_IN).value
-        assert abs(a - b) < 1e-8
+        assert abs(a - b) < 1e-12
 
     def test_against_high_resolution_oracle(self):
         a = log_kernel_line_integral(POLY, JordanCurve.circle(0, 2.0, 4096), Z_IN).value
         hi = log_kernel_line_integral(POLY, JordanCurve.circle(0, 2.0, 2**16), Z_IN).value
-        assert abs(a - hi) < 1e-8
+        assert abs(a - hi) < 1e-12
 
     def test_kernel_orders_agree(self):
         curve = JordanCurve.circle(0, 2.0, 2048)
@@ -198,18 +198,45 @@ class TestLogKernelLineIntegral:
         curve = JordanCurve.circle(0, 2.0, 4096)
         res = log_kernel_line_integral(f, curve, 0.4 - 0.1j)
         pred = f.value(0.4 - 0.1j) - f.value(curve.start)
-        assert abs(res.value - pred) < 1e-8
+        assert abs(res.value - pred) < 1e-12
 
     def test_start_point_moves_the_value(self):
         rotated = JordanCurve.circle(0, 2.0, 4096, t0=0.5)
         assert rotated.start == pytest.approx(-2 + 0j, abs=1e-12)
         res = log_kernel_line_integral(POLY, rotated, Z_IN)
         pred = POLY.value(Z_IN) - POLY.value(-2.0)
-        assert abs(res.value - pred) < 1e-8
+        assert abs(res.value - pred) < 1e-12
 
     def test_exterior_point_rejected(self):
         with pytest.raises(GeometryError):
             log_kernel_line_integral(POLY, JordanCurve.circle(0, 2.0, 256), 5.0)
+
+    def test_point_near_curve_rejected(self):
+        for kernel in ("z-zp", "zp-z"):
+            with pytest.raises(GeometryError, match="too close"):
+                log_kernel_line_integral(POLY, JordanCurve.circle(0, 2.0, 256), 1.9999,
+                                         kernel=kernel)
+
+
+CURVES = {
+    "circle": JordanCurve.circle(0, 2.0, 4096),
+    "square": JordanCurve.rectangle(-2, -2, 2, 2, 4096, t0=0.375),
+}
+FUNCTIONS = {"poly": POLY, "exp": AnalyticTestFunction.exponential(1.0, 1.3 + 0.4j)}
+NEAR_POINTS = [Z_IN, 1.96, complex(0, -1.96), -1.5 + 0.9j]
+CORNER_POINTS = [1.96 + 1.96j, -1.96 + 1.96j]  # inside the square only
+
+
+@pytest.mark.parametrize("fname", FUNCTIONS)
+@pytest.mark.parametrize("cname,z", [(c, z) for c in CURVES for z in NEAR_POINTS]
+                         + [("square", z) for z in CORNER_POINTS])
+def test_both_integrals_exact_at_default_nodes(fname, cname, z):
+    # points 1% of the curve's size from it, corners included: the
+    # Gauss-Legendre panels reach both exact values at 4096 nodes
+    f, curve = FUNCTIONS[fname], CURVES[cname]
+    assert abs(cauchy_integral(f, curve, z) - f.value(z)) < 1e-13
+    res = log_kernel_line_integral(f, curve, z)
+    assert abs(res.value - (f.value(z) - f.value(curve.start))) < 1e-13
 
 
 @settings(max_examples=20, deadline=None)
@@ -229,5 +256,5 @@ def test_property_start_corrected_identity(coeffs, zr, zi):
     res = log_kernel_line_integral(f, curve, z)
     pred = f.value(z) - f.value(curve.start)
     scale = max(1.0, abs(pred))
-    assert abs(res.value - pred) < 1e-7 * scale
-    assert abs(cauchy_integral(f, curve, z) - f.value(z)) < 1e-9 * scale
+    assert abs(res.value - pred) < 1e-12 * scale
+    assert abs(cauchy_integral(f, curve, z) - f.value(z)) < 1e-12 * scale

@@ -447,19 +447,20 @@ class TestTableCache:
 
     def test_least_recently_used_go_first_and_the_newest_stays(self, fresh_tables,
                                                                monkeypatch):
-        monkeypatch.setattr(dft, "_TABLE_BUDGET", 3 * 800)
+        monkeypatch.setattr(dft, "_TABLE_BUDGET", 4 * 800)
         built = []
-        for kind in "abc":
-            self.zeros(kind, 100, built)  # 800 bytes each: all three fit
+        for kind in "abcd":
+            self.zeros(kind, 100, built)  # 800 bytes each: all four fit
         self.zeros("a", 100, built)  # a hit makes a the most recent
-        self.zeros("d", 100, built)  # so b, the least recent, goes
-        assert list(dft._TABLES) == [("c", 100), ("a", 100), ("d", 100)]
-        assert dft._table_bytes == 2400
-        self.zeros("e", 1000, built)  # 8000 bytes, over the budget alone
-        assert list(dft._TABLES) == [("e", 1000)] and dft._table_bytes == 8000
+        self.zeros("e", 100, built)  # so b, the least recent, goes
+        assert list(dft._TABLES) == [("c", 100), ("d", 100), ("a", 100), ("e", 100)]
+        assert dft._table_bytes == 3200
+        self.zeros("f", 1000, built)  # 8000 bytes, over the budget alone
+        assert list(dft._TABLES) == [("a", 100), ("e", 100), ("f", 1000)]
+        assert dft._table_bytes == 9600
         self.zeros("b", 100, built)
-        assert list(dft._TABLES) == [("b", 100)] and dft._table_bytes == 800
-        assert built.count(("b", 100)) == 2
+        assert list(dft._TABLES) == [("e", 100), ("f", 1000), ("b", 100)]
+        assert dft._table_bytes == 9600 and built.count(("b", 100)) == 2
 
     @pytest.mark.parametrize("n", [1, 1024, 1009])
     def test_plan_bytes_count_every_table_and_the_pad_plans(self, n):

@@ -516,6 +516,27 @@ class TestTraceBoundary:
         hilbert_first(f)
         assert built == [n // 2]
 
+    @pytest.mark.parametrize("route", ["first", "halfband"])
+    def test_calls_past_the_budget_build_their_plan_once(self, monkeypatch, fresh_tables,
+                                                         route):
+        # when one call's tables exceed the budget, none of them goes: each
+        # warm call used to evict its own half plan and build it again
+        import hxkit.hilbert as hilbert
+
+        dft = importlib.import_module("hxkit.dft")
+        n = 1 << 16
+        budget = dft.plan(n // 2).nbytes + hilbert._first_form_bins(n).nbytes - 1
+        monkeypatch.setattr(dft, "_TABLE_BUDGET", budget)
+        built = self.count_plans(monkeypatch)
+        f = Signal(seeded(n, n))
+        for _ in range(5):
+            if route == "first":
+                hilbert_first(f)
+            else:
+                hilbert_second(f, Branch.PLUS, halfband=True)
+        assert built == [n // 2]
+        assert dft._table_bytes > budget
+
     def test_warm_calls_at_2_20_build_no_plan(self, monkeypatch, fresh_tables):
         n = 1 << 20
         f = Signal(seeded(n, n))
@@ -589,7 +610,7 @@ class TestTableCache:
         assert not any(t.is_alive() for t in threads)
         assert not errors and not mismatches
         assert dft._table_bytes == sum(t.nbytes for t in fresh_tables.values())
-        assert dft._table_bytes <= dft._TABLE_BUDGET or len(fresh_tables) == 1
+        assert dft._table_bytes <= dft._TABLE_BUDGET or len(fresh_tables) == dft._TABLES_KEPT
 
     @pytest.mark.slow
     def test_forty_sizes_near_2_19_keep_the_tables_within_the_budget(self, fresh_tables,
