@@ -21,6 +21,7 @@ node, which carries the accumulated value, not a copy of the starting one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -122,13 +123,19 @@ def unwrap_argument(raw_args) -> BranchTrace:
     return BranchTrace(angles=angles, winding=float(angles[-1] - angles[0]))
 
 
+@functools.cache
+def _rule() -> Tuple[np.ndarray, np.ndarray]:
+    """The 16-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss  # not at import: hx start-up
+
+    return leggauss(_PANEL)
+
+
 def _panels(nodes: int, share: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1] of max(1, round(nodes*share/16)) equal
     16-point Gauss-Legendre panels."""
-    from numpy.polynomial.legendre import leggauss  # not at import: hx start-up
-
     count = max(1, round(nodes * share / _PANEL))
-    x, w = leggauss(_PANEL)
+    x, w = _rule()
     u = (np.arange(count)[:, None] + (x + 1.0) / 2.0) / count
     return u.ravel(), np.tile(w / (2.0 * count), count)
 
@@ -137,9 +144,14 @@ def _panels(nodes: int, share: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
 class JordanCurve:
     """Closed, counterclockwise, piecewise-smooth curve, discretized."""
 
-    kind: str
     segments: Tuple[Segment, ...]
     start: complex
+
+    def __post_init__(self):
+        # the weights of a closed curve integrate dz to zero
+        gap = abs(sum(complex(s.weights.sum()) for s in self.segments))
+        if gap > 1e-12 * max(1.0, float(np.abs(self.chain()).max())):
+            raise GeometryError("curve is not closed")
 
     def chain(self) -> np.ndarray:
         """The start, then every node once around the curve; the closing
@@ -154,10 +166,10 @@ class JordanCurve:
         if nodes < _MIN_NODES:
             raise InvalidSizeError(f"need at least {_MIN_NODES} nodes")
         u, w = _panels(nodes)
-        z = complex(center) + radius * np.exp(2j * math.pi * (t0 + u))
-        seg = Segment(points=z, weights=2j * math.pi * (z - complex(center)) * w)
+        r = radius * np.exp(2j * math.pi * (t0 + u))
+        seg = Segment(points=complex(center) + r, weights=2j * math.pi * r * w)
         start = complex(center) + radius * np.exp(2j * math.pi * t0)
-        return cls(kind="circle", segments=(seg,), start=start)
+        return cls(segments=(seg,), start=start)
 
     @classmethod
     def rectangle(cls, x0, y0, x1, y1, nodes=4096, t0=0.0) -> "JordanCurve":
@@ -191,7 +203,7 @@ class JordanCurve:
         for a, b in zip(cycle[:-1], cycle[1:]):
             u, w = _panels(nodes, abs(b - a) / perimeter)
             segments.append(Segment(points=a + u * (b - a), weights=(b - a) * w))
-        return cls(kind="rectangle", segments=tuple(segments), start=complex(cycle[0]))
+        return cls(segments=tuple(segments), start=complex(cycle[0]))
 
 
 @dataclass(frozen=True)
@@ -206,9 +218,13 @@ class LogIntegralResult:
 
 def _interior_trace(chain: np.ndarray, w: np.ndarray) -> BranchTrace:
     """The unwrapped argument of w = +/-(chain - z) along the chain, once z
-    is found inside the curve and clear of it."""
+    is found inside the curve and clear of it: clear of every chord between
+    neighboring nodes, not just of the nodes, which sit up to 1.5 times
+    their mean spacing apart at a panel's centre."""
     scale = float(np.abs(chain - chain.mean()).max())
-    if float(np.abs(w).min()) < _DISTANCE_RTOL * scale:
+    a, d = w[:-1], np.diff(w)
+    t = np.clip(-(a * d.conj()).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+    if float(np.abs(a + t * d).min()) < _DISTANCE_RTOL * scale:
         raise GeometryError("evaluation point is too close to the curve")
     trace = unwrap_argument(np.angle(w))
     if abs(trace.winding - 2.0 * math.pi) < _INTERIOR_TOL:

@@ -235,7 +235,6 @@ def plan(n: int) -> DftPlan:
 
 # (kind, n) -> table, least recently used first, shared by every thread
 _TABLE_BUDGET = 128 << 20  # every route's tables at one size up to n = 2^21
-_TABLES_KEPT = 3  # the most tables one public call reads: past the budget, none goes
 _TABLES: dict[tuple[str, int], "np.ndarray | DftPlan"] = {}
 _TABLES_LOCK = threading.Lock()
 _table_bytes = 0  # the bytes _TABLES holds
@@ -247,8 +246,9 @@ def _table(kind: str, n: int, build):
     The key names the kind, not ``build``, so a rebound builder (a tracer's
     wrapper of :func:`plan`) shares the entries.  A miss builds outside the
     lock; then the least recently used entries go until the tables held fit
-    in :data:`_TABLE_BUDGET` bytes, but the newest :data:`_TABLES_KEPT`
-    always stay."""
+    in :data:`_TABLE_BUDGET` bytes, save those at size n, 2n or n/2, the
+    sizes one public call reads together.  Past the budget a call keeps its
+    own tables and drops the other sizes'."""
     global _table_bytes
     key = (kind, n)
     with _TABLES_LOCK:
@@ -261,8 +261,11 @@ def _table(kind: str, n: int, build):
     with _TABLES_LOCK:
         if _TABLES.setdefault(key, table) is table:  # else another thread's build stays
             _table_bytes += table.nbytes
-        while _table_bytes > _TABLE_BUDGET and len(_TABLES) > _TABLES_KEPT:
-            _table_bytes -= _TABLES.pop(next(iter(_TABLES))).nbytes
+        while _table_bytes > _TABLE_BUDGET:
+            old = next((k for k in _TABLES if k[1] not in (n, 2 * n) and 2 * k[1] != n), None)
+            if old is None:
+                break
+            _table_bytes -= _TABLES.pop(old).nbytes
     return table
 
 

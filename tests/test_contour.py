@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hxkit.contour import (
     AnalyticTestFunction,
     JordanCurve,
+    Segment,
     cauchy_integral,
     log_kernel_line_integral,
     unwrap_argument,
@@ -91,6 +92,15 @@ class TestJordanCurve:
     def test_rectangle_corner_ordering(self):
         with pytest.raises(GeometryError):
             JordanCurve.rectangle(2, -2, -2, 2)
+
+    def test_open_curve_rejected(self):
+        sides = JordanCurve.rectangle(-2, -2, 2, 2, 256).segments
+        with pytest.raises(GeometryError, match="not closed"):
+            JordanCurve(segments=sides[:-1], start=-2 - 2j)
+
+    def test_closed_far_from_origin(self):
+        JordanCurve.circle(1e8 + 1e8j, 1.0, 4096)
+        JordanCurve.rectangle(1e8, 1e8, 1e8 + 1, 1e8 + 1, 4096, t0=0.375)
 
     def test_node_count_near_request(self):
         # each side rounds its share of the nodes to whole panels
@@ -216,6 +226,26 @@ class TestLogKernelLineIntegral:
             with pytest.raises(GeometryError, match="too close"):
                 log_kernel_line_integral(POLY, JordanCurve.circle(0, 2.0, 256), 1.9999,
                                          kernel=kernel)
+
+
+# 1e-4 inside the curve at a panel's centre, where the Gauss-Legendre
+# nodes are furthest apart: farther from every node than the distance
+# guard's threshold, so the guard must measure to the curve, not the nodes
+PANEL_CENTRE_POINTS = {
+    "circle": (JordanCurve.circle(0, 2.0, 4096), 1.9999 * np.exp(2j * math.pi * 100.5 / 256)),
+    "square": (JordanCurve.rectangle(-2, -2, 2, 2, 4096, t0=0.375),
+               complex(2 - 20.5 * 4 / 64, 2 - 1e-4)),
+}
+
+
+@pytest.mark.parametrize("cname", PANEL_CENTRE_POINTS)
+def test_point_near_curve_between_nodes_rejected(cname):
+    curve, z = PANEL_CENTRE_POINTS[cname]
+    with pytest.raises(GeometryError, match="too close"):
+        cauchy_integral(POLY, curve, z)
+    for kernel in ("z-zp", "zp-z"):
+        with pytest.raises(GeometryError, match="too close"):
+            log_kernel_line_integral(POLY, curve, z, kernel=kernel)
 
 
 CURVES = {

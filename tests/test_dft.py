@@ -447,20 +447,24 @@ class TestTableCache:
 
     def test_least_recently_used_go_first_and_the_newest_stays(self, fresh_tables,
                                                                monkeypatch):
-        monkeypatch.setattr(dft, "_TABLE_BUDGET", 4 * 800)
+        monkeypatch.setattr(dft, "_TABLE_BUDGET", 3300)
         built = []
-        for kind in "abcd":
-            self.zeros(kind, 100, built)  # 800 bytes each: all four fit
-        self.zeros("a", 100, built)  # a hit makes a the most recent
-        self.zeros("e", 100, built)  # so b, the least recent, goes
-        assert list(dft._TABLES) == [("c", 100), ("d", 100), ("a", 100), ("e", 100)]
-        assert dft._table_bytes == 3200
+        for n in range(100, 104):
+            self.zeros("a", n, built)  # 8n bytes each, 3248 in all: they fit
+        self.zeros("a", 100, built)  # a hit makes 100 the most recent
+        self.zeros("a", 104, built)  # so 101, the least recent, goes
+        assert [k[1] for k in dft._TABLES] == [102, 103, 100, 104]
+        assert dft._table_bytes == 3272
         self.zeros("f", 1000, built)  # 8000 bytes, over the budget alone
-        assert list(dft._TABLES) == [("a", 100), ("e", 100), ("f", 1000)]
-        assert dft._table_bytes == 9600
-        self.zeros("b", 100, built)
-        assert list(dft._TABLES) == [("e", 100), ("f", 1000), ("b", 100)]
-        assert dft._table_bytes == 9600 and built.count(("b", 100)) == 2
+        assert list(dft._TABLES) == [("f", 1000)] and dft._table_bytes == 8000
+        self.zeros("g", 500, built)  # half of f's size: one call may read both
+        assert list(dft._TABLES) == [("f", 1000), ("g", 500)]
+        assert dft._table_bytes == 12000
+        self.zeros("h", 1001, built)  # none of its sizes: both go
+        assert list(dft._TABLES) == [("h", 1001)] and dft._table_bytes == 8008
+        self.zeros("a", 101, built)
+        assert list(dft._TABLES) == [("a", 101)] and dft._table_bytes == 808
+        assert built.count(("a", 101)) == 2
 
     @pytest.mark.parametrize("n", [1, 1024, 1009])
     def test_plan_bytes_count_every_table_and_the_pad_plans(self, n):

@@ -537,6 +537,19 @@ class TestTraceBoundary:
         assert built == [n // 2]
         assert dft._table_bytes > budget
 
+    def test_calls_past_the_budget_drop_the_other_sizes_tables(self, monkeypatch,
+                                                              fresh_tables):
+        # alternating an even and an odd size, each past the budget on its
+        # own: each call leaves its own tables and none of the other's
+        dft = importlib.import_module("hxkit.dft")
+        monkeypatch.setattr(dft, "_TABLE_BUDGET", 1)
+        n = 1 << 12
+        for _ in range(2):
+            hilbert_first(Signal(seeded(n, n)))
+            assert set(fresh_tables) == {("plan", n // 2), ("first form", n)}
+            hilbert_first(Signal(seeded(n + 1, n + 1)))
+            assert set(fresh_tables) == {("first bins", n + 1), ("plan", n + 1)}
+
     def test_warm_calls_at_2_20_build_no_plan(self, monkeypatch, fresh_tables):
         n = 1 << 20
         f = Signal(seeded(n, n))
@@ -610,7 +623,9 @@ class TestTableCache:
         assert not any(t.is_alive() for t in threads)
         assert not errors and not mismatches
         assert dft._table_bytes == sum(t.nbytes for t in fresh_tables.values())
-        assert dft._table_bytes <= dft._TABLE_BUDGET or len(fresh_tables) == dft._TABLES_KEPT
+        if dft._table_bytes > dft._TABLE_BUDGET:  # only the newest call's sizes stay
+            n = next(reversed(fresh_tables))[1]
+            assert all(k[1] in (n, 2 * n) or 2 * k[1] == n for k in fresh_tables)
 
     @pytest.mark.slow
     def test_forty_sizes_near_2_19_keep_the_tables_within_the_budget(self, fresh_tables,
