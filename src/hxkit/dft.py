@@ -170,6 +170,12 @@ def _unit_roots(e: np.ndarray, n: int) -> np.ndarray:
     return np.exp((-2j * np.pi / n) * e)
 
 
+def _half_roots(n: int) -> np.ndarray:
+    """exp(+2*pi*i*k/n) for k <= n/2: the one table of the even-n real-data
+    path, read by the packed unpack and repack and the half-band odd half."""
+    return _unit_roots(-np.arange(n // 2 + 1), n)
+
+
 @lru_cache(maxsize=len(_RADICES))
 def _dft_matrix(r: int) -> np.ndarray:
     """The r-point DFT as a read-only (r, r) matrix, exp(-2*pi*i*j*t/r)."""
@@ -234,7 +240,7 @@ def plan(n: int) -> DftPlan:
 
 
 # (kind, n) -> table, least recently used first, shared by every thread
-_TABLE_BUDGET = 128 << 20  # every route's tables at one size up to n = 2^21
+_TABLE_BUDGET = 128 << 20  # each even route's half plan and roots up to n = 2^22
 _TABLES: dict[tuple[str, int], "np.ndarray | DftPlan"] = {}
 _TABLES_LOCK = threading.Lock()
 _table_bytes = 0  # the bytes _TABLES holds
@@ -270,8 +276,9 @@ def _table(kind: str, n: int, build):
 
 
 # per-thread (2, n) complex buffers for the sizes used last: row 0 is the
-# forward stages' ping-pong partner of the caller's output, row 1 the input
-# slot, and the two rows together hold an inverse's stages (:func:`_in_rows`)
+# forward stages' ping-pong partner of the caller's output, row 1 the spare
+# row (:func:`_spare_row`), and the two rows together hold an inverse's
+# stages (:func:`_in_rows`)
 _WORKSPACE = threading.local()
 _WORKSPACE_SIZES = 2
 
@@ -317,7 +324,7 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     views, strided or not), starting with ``out`` for an odd stage count
     so that the last stage lands in ``out``.  ``x`` is read by the first
     stage only, which writes one of the two, so ``x`` may be the other, or
-    any array that the first stage does not write (:func:`_input_slot`).
+    any array that the first stage does not write (:func:`_spare_row`).
     A strided ``x`` gives the same result, but its product does not run in
     BLAS (:func:`_engine_input`).
     """
@@ -337,12 +344,11 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     return out
 
 
-def _input_slot(p: DftPlan, out: np.ndarray) -> np.ndarray:
-    """Where the input of a transform into ``out`` may be built in place: the
-    workspace's row 1, which only an inverse's stages write, after reading it."""
-    if p.strategy == STOCKHAM:
-        return _workspace(p.size)[1]
-    return out  # Bluestein reads its input before it writes ``out``
+def _spare_row(p: DftPlan) -> np.ndarray:
+    """p.size values a transform by ``p`` reads before it writes them: row 1
+    of the workspace its stages (its pad's, if Bluestein) run in, which only
+    an inverse's stages write, after reading it."""
+    return _workspace((p.pad_plan or p).size)[1][: p.size]
 
 
 def _in_rows(p: DftPlan, x: np.ndarray) -> np.ndarray:
@@ -399,15 +405,15 @@ def _as_vector(x, n: int) -> np.ndarray:
     return v
 
 
-def _engine_input(p: DftPlan, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``x`` as a transform into ``out`` reads it.
+def _engine_input(p: DftPlan, x: np.ndarray) -> np.ndarray:
+    """``x`` as a transform by ``p`` reads it.
 
     Stockham input that is not contiguous complex128 is copied into
-    :func:`_input_slot`: that widens other dtypes without a temporary, and
+    :func:`_spare_row`: that widens other dtypes without a temporary, and
     keeps the first stage's matrix product on BLAS, which a strided operand
     falls off.  Bluestein reads any input once, in its chirp product."""
     if p.strategy == STOCKHAM and (x.dtype != np.complex128 or not x.flags.c_contiguous):
-        slot = _input_slot(p, out)
+        slot = _spare_row(p)
         slot[...] = x
         return slot
     return x
@@ -417,7 +423,7 @@ def dft_forward(p: DftPlan, x) -> np.ndarray:
     """Forward transform of ``x`` (length must equal ``p.size``)."""
     x = _as_vector(x, p.size)
     out = np.empty(p.size, dtype=np.complex128)
-    x = _engine_input(p, x, out)
+    x = _engine_input(p, x)
     if p.strategy == STOCKHAM:
         _stockham(x, p.stages_fwd, out, _workspace(p.size)[0])
     else:
@@ -429,7 +435,7 @@ def dft_inverse(p: DftPlan, X) -> np.ndarray:
     """Inverse transform with the 1/N prefactor."""
     X = _as_vector(X, p.size)
     out = np.empty(p.size, dtype=np.complex128)
-    _inverse_into(p, _engine_input(p, X, out), out, 1.0 / p.size)
+    _inverse_into(p, _engine_input(p, X), out, 1.0 / p.size)
     return out
 
 
@@ -465,11 +471,6 @@ def dft_direct_reference(x, direction: str = "forward") -> np.ndarray:
     return y if direction == "forward" else y / n
 
 
-def _double_twiddle(nh: int) -> np.ndarray:
-    """exp(+2*pi*i*j/(2*nh)) for j < nh, used by the odd-output half."""
-    return _unit_roots(-np.arange(nh), 2 * nh)
-
-
 def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
     """Exact length-N inverse of a one-sided spectrum via two N/2 inverses.
 
@@ -488,13 +489,12 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
         )
     v = v.astype(np.complex128, copy=False)
     out = np.empty(2 * nh, dtype=np.complex128)
-    even, odd = out[0::2], out[1::2]
-    x = _input_slot(plan_half, even)
+    x = _spare_row(plan_half)
     x[...] = v[:nh]
     x[0] += v[nh]
-    _inverse_into(plan_half, x, even, 1.0 / (2 * nh))
-    x = _input_slot(plan_half, odd)
-    np.multiply(v[:nh], _table("double twiddle", nh, _double_twiddle), out=x)
-    x[0] -= v[nh]  # the twiddle at j = 0 is 1
-    _inverse_into(plan_half, x, odd, 1.0 / (2 * nh))
+    _inverse_into(plan_half, x, out[0::2], 1.0 / (2 * nh))
+    x = _spare_row(plan_half)
+    np.multiply(v[:nh], _table("roots", 2 * nh, _half_roots)[:nh], out=x)
+    x[0] -= v[nh]  # the root at j = 0 is 1
+    _inverse_into(plan_half, x, out[1::2], 1.0 / (2 * nh))
     return out

@@ -36,10 +36,11 @@ multiplies bins 0..N/2 only, for :func:`hxkit.dft.dft_inverse_halfband`.
 Odd lengths, the log-image route and the equivalence report run one
 length-N forward -> multiply -> inverse pipeline; the odd first form
 raises :class:`~hxkit.errors.InvariantBreach` if the imaginary residue of
-its inverse exceeds 1e-12 of the peak.  Plans, twiddles and weights come
-from the one byte-bounded table cache in :mod:`hxkit.dft`, and scratch
-rows from the engine's per-thread workspace, so a warmed call allocates
-a few arrays of the output's size.
+its inverse exceeds 1e-12 of the peak.  Plans, the roots of unity of
+each even size (every even-N weight is read off them) and the odd-N
+multiplier come from the one byte-bounded table cache in :mod:`hxkit.dft`,
+and scratch rows from the engine's per-thread workspace, so a warmed call
+allocates a few arrays of the output's size.
 
 No route writes into its input: each reads the samples in place (copied
 once to contiguous float64 if strided, float32 or complex) and allocates
@@ -64,11 +65,11 @@ from enum import Enum
 import numpy as np
 
 from .dft import (
+    _half_roots,
     _inverse_into,
+    _spare_row,
     _table,
     _transform_size,
-    _unit_roots,
-    _workspace,
     dft_forward,
     dft_inverse,
     dft_inverse_halfband,
@@ -183,30 +184,6 @@ def log_image(s, branch):
     return complex(img) if img.ndim == 0 else img
 
 
-def _pack_twiddles(n: int) -> np.ndarray:
-    """-(i/2)*w^k for k <= n/2, w = exp(-2*pi*i/n): the unpack twiddles."""
-    return -0.5j * _unit_roots(np.arange(n // 2 + 1), n)
-
-
-def _first_form_bins(n: int) -> np.ndarray:
-    """Rows (a, b) with Z'[k] = i*a[k]*Z[k] + b[k]*conj Z[n/2-k], 0 < k < n/2.
-
-    Unpacking bins 0..n/2 of the spectrum from the packed transform Z
-    (X[k] = (A+B)/2 + t[k]*(A-B) with A = Z[k], B = conj Z[n/2-k]),
-    multiplying them by m = :func:`multiplier_bins` and repacking the
-    product with conj(t) are all linear in A and B, so the three passes
-    collapse into Z'[k] = alpha*A + beta*B.  With |t| = 1/2 the weights are
-    alpha = (m1+m2)/2 + (m1-m2)*Re t and beta = -i*(m1-m2)*Im t, where
-    m1 = m[k] and m2 = conj m[n/2-k].  The first-form multiplier i*sgn is
-    imaginary, so alpha = i*a is imaginary and beta = b real; with
-    sgn = 0 at DC and Nyquist they are a = -sin(2*pi*k/n) and
-    b = -cos(2*pi*k/n), exactly (a = b = 0 at k = 0, where Z'[0] = 0), so
-    they are read off the roots w^k = cos - i*sin, a table never cached.
-    """
-    w = _unit_roots(np.arange(1, n // 2), n)
-    return np.stack((w.imag, -w.real))
-
-
 def _packed_forward(x: np.ndarray) -> np.ndarray:
     """Forward DFT of the packed sequence z[m] = x[2m] + i*x[2m+1] of real
     x (even N), one length-N/2 transform; z is a view, not a copy."""
@@ -216,20 +193,26 @@ def _packed_forward(x: np.ndarray) -> np.ndarray:
 def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Bins 0..N/2 of the length-N spectrum from the packed transform z.
 
-    With Z[N/2] := Z[0], X[k] = (Z[k] + conj Z[N/2-k])/2
-    - (i/2)*w^k*(Z[k] - conj Z[N/2-k]).  ``scratch`` has at least N/2 bins.
+    With Z[N/2] := Z[0] and w = exp(-2*pi*i/N), X[k] = (Z[k] + conj
+    Z[N/2-k])/2 - (i/2)*w^k*(Z[k] - conj Z[N/2-k]).  w^k is read off the
+    roots c = conj w^k (:func:`hxkit.dft._half_roots`) as d*w^k =
+    conj(conj(d)*c), which is exact.  ``scratch`` has at least N/2 bins.
     """
     nh = z.shape[0]
-    t = _table("pack twiddles", 2 * nh, _pack_twiddles)
+    c = _table("roots", 2 * nh, _half_roots)
     b = scratch[:nh]
     np.conjugate(z[:0:-1], out=b[1:])
     b[0] = np.conj(z[0])
     d = np.subtract(z, b, out=out[:nh])
-    d *= t[:nh]
+    np.conjugate(d, out=d)
+    d *= c[:nh]
+    np.conjugate(d, out=d)
+    d *= -0.5j
     b += z
     b *= 0.5
     d += b
-    out[nh] = z[0].real + t[nh] * (2j * z[0].imag)  # A = Z[0], B = conj Z[0]
+    # A = Z[0], B = conj Z[0]; c[nh] = w^(N/2), both angles reduced to -pi
+    out[nh] = z[0].real + (-0.5j * c[nh]) * (2j * z[0].imag)
 
 
 def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -245,25 +228,35 @@ def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _first_form_repack(Z: np.ndarray, out: np.ndarray) -> None:
-    """out[k] = i*a[k]*Z[k] + b[k]*conj Z[N/2-k], the repacked first-form
-    product (:func:`_first_form_bins`), in six real passes; Z is overwritten."""
-    a, b = _table("first form", 2 * Z.shape[0], _first_form_bins)
+    """out[k] = Z'[k], the repacked first-form product, in six real passes
+    on the roots c = exp(2*pi*i*k/N) (:func:`hxkit.dft._half_roots`); Z is
+    overwritten.
+
+    Unpacking bins 0..N/2 of the spectrum from the packed transform Z
+    (X[k] = (A+B)/2 + t[k]*(A-B) with A = Z[k], B = conj Z[N/2-k] and
+    t[k] = -(i/2)*conj c[k], :func:`_unpack`), multiplying them by
+    m = :func:`multiplier_bins` and repacking the product with conj(t) are
+    all linear in A and B, so the three passes collapse into
+    Z'[k] = alpha*A + beta*B.  With |t| = 1/2 the weights are
+    alpha = (m1+m2)/2 + (m1-m2)*Re t and beta = -i*(m1-m2)*Im t, where
+    m1 = m[k] and m2 = conj m[N/2-k].  The first-form multiplier i*sgn is
+    imaginary, so alpha is imaginary and beta real; with sgn = 0 at DC and
+    Nyquist they are alpha = -i*Im c[k] and beta = -Re c[k], exactly, for
+    0 < k < N/2, and Z'[0] = 0.  So Re Z'[k] = Im c*Im Z[k] - Re c*Re
+    Z[N/2-k] and Im Z'[k] = Re c*Im Z[N/2-k] - Im c*Re Z[k].
+    """
+    c = _table("roots", 2 * Z.shape[0], _half_roots)[1:-1]
+    cr, ci = c.real, c.imag
     zr, zi = Z.real, Z.imag
     re, im = out.real[1:], out.imag[1:]
-    np.multiply(b, zr[:0:-1], out=re)
-    np.multiply(a, zi[1:], out=im)
-    re -= im  # b*Re Z[N/2-k] - a*Im Z[k]
+    np.multiply(cr, zr[:0:-1], out=re)
+    np.multiply(ci, zi[1:], out=im)
+    np.subtract(im, re, out=re)  # Im c*Im Z[k] - Re c*Re Z[N/2-k]
     rev = zi[:0:-1]
-    np.multiply(rev, b, out=rev)  # in place: Im Z[k] has been read
-    np.multiply(a, zr[1:], out=im)
-    im -= rev  # a*Re Z[k] - b*Im Z[N/2-k]
+    np.multiply(rev, cr, out=rev)  # in place: Im Z[k] has been read
+    np.multiply(ci, zr[1:], out=im)
+    np.subtract(rev, im, out=im)  # Re c*Im Z[N/2-k] - Im c*Re Z[k]
     out[0] = 0.0  # Z'[0] = 0
-
-
-def _spare_row(p) -> np.ndarray:
-    """p.size values a transform by ``p`` reads before it writes them: row 1
-    of the workspace its stages (its pad's, if Bluestein) run in."""
-    return _workspace((p.pad_plan or p).size)[1][: p.size]
 
 
 def _first_form(x: np.ndarray) -> np.ndarray:

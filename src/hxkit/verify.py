@@ -261,18 +261,18 @@ def _contour_suite(seed: int) -> list:
     checks.append(_err_check("cauchy_poly", err, 1e-8,
                              f"integral {_cpx(got)} vs f(z) {_cpx(f.value(z))}"))
 
+    # the exact f(z) - f(z0) is the oracle: no finer quadrature beats the
+    # 4096-node panels, which are accurate to about 1e-14
     res = log_kernel_line_integral(f, curve, z)
-    oracle = log_kernel_line_integral(f, JordanCurve.circle(0.0, 2.0, 2 ** 16), z)
     claimed = f.value(z)
     corrected = f.value(z) - f.value(curve.start)
-    err = abs(oracle.value - corrected)
+    err = abs(res.value - corrected)
     notes = (
         f"claimed f(z) {_cpx(claimed)} vs start-corrected f(z)-f(z0) {_cpx(corrected)}, start z0 {_cpx(curve.start)}",
-        f"oracle integral (M=65536) {_cpx(oracle.value)}: |vs claimed| {abs(oracle.value - claimed):.3e}, "
+        f"M=4096 integral {_cpx(res.value)}: |vs claimed| {abs(res.value - claimed):.3e}, "
         f"|vs start-corrected| {err:.3e}",
-        f"M=4096 integral {_cpx(res.value)} agrees with oracle to {abs(res.value - oracle.value):.3e}",
     )
-    line = (f"start-corrected form holds, bare f(z) misses by {abs(oracle.value - claimed):.3e}; "
+    line = (f"start-corrected form holds, bare f(z) misses by {abs(res.value - claimed):.3e}; "
             f"error {err:.3e} <= 1.000e-08")
     checks.append(Check("lemma_2_6", err, 1e-8, err <= 1e-8, line, notes))
 

@@ -289,7 +289,7 @@ class TestHalfband:
         even[0] += v[nh]
         # the cached table, as the call reads it; a fresh one would be a
         # temporary that numpy multiplies in place, operands swapped
-        odd = v[:nh] * dft._table("double twiddle", nh, dft._double_twiddle)  # exp(+2*pi*i*j/N)
+        odd = v[:nh] * dft._table("roots", 2 * nh, dft._half_roots)[:nh]  # exp(+2*pi*i*j/N)
         odd[0] -= v[nh]
         want = np.empty(2 * nh, dtype=np.complex128)
         want[0::2] = dft_inverse(p, even) * 0.5

@@ -355,12 +355,14 @@ class TestHilbertSecond:
         with pytest.raises(InvalidSizeError):
             hilbert_second(Signal(seeded(0, 15)), Branch.PLUS, halfband=True)
 
-    def test_warmed_halfband_peak_memory(self):
+    @pytest.mark.parametrize("n", [1 << 16, 5794])
+    def test_warmed_halfband_peak_memory(self, n):
         # the route builds bins 0..N/2 of the one-sided spectrum only; with a
         # zero-filled length-N spectrum the peak was 2.75x the output, 2.00x
         # with a scaled copy of the input as the unpack's scratch, and it is
-        # 1.50x reading the input in place with a workspace row as scratch
-        n = 1 << 16
+        # 1.50x reading the input in place with a workspace row as scratch;
+        # 5794 has a Bluestein half plan, whose inverses' inputs are built
+        # in the pad's workspace row (1.53x)
         f = Signal(seeded(n, n))
 
         def call():
@@ -499,15 +501,12 @@ class TestTraceBoundary:
 
     def test_first_form_tables_fit_a_budget_of_plan_and_weights(self, monkeypatch,
                                                                  fresh_tables):
-        # the weights are built without the cached pack twiddles, which,
-        # cached at this budget, pushed the half plan out: a cold call built
-        # it twice, and every warm call once more
-        import hxkit.hilbert as hilbert
-
+        # the first form reads its half plan and one roots table; when it
+        # also cached pack twiddles, a budget short of them pushed the half
+        # plan out: a cold call built it twice, and every warm call once more
         dft = importlib.import_module("hxkit.dft")
         n = 1 << 16
-        budget = (dft.plan(n // 2).nbytes + hilbert._first_form_bins(n).nbytes
-                  + hilbert._pack_twiddles(n).nbytes // 2)
+        budget = dft.plan(n // 2).nbytes + dft._half_roots(n).nbytes
         monkeypatch.setattr(dft, "_TABLE_BUDGET", budget)
         built = self.count_plans(monkeypatch)
         f = Signal(seeded(n, n))
@@ -521,11 +520,9 @@ class TestTraceBoundary:
                                                          route):
         # when one call's tables exceed the budget, none of them goes: each
         # warm call used to evict its own half plan and build it again
-        import hxkit.hilbert as hilbert
-
         dft = importlib.import_module("hxkit.dft")
         n = 1 << 16
-        budget = dft.plan(n // 2).nbytes + hilbert._first_form_bins(n).nbytes - 1
+        budget = dft.plan(n // 2).nbytes + dft._half_roots(n).nbytes - 1
         monkeypatch.setattr(dft, "_TABLE_BUDGET", budget)
         built = self.count_plans(monkeypatch)
         f = Signal(seeded(n, n))
@@ -546,7 +543,7 @@ class TestTraceBoundary:
         n = 1 << 12
         for _ in range(2):
             hilbert_first(Signal(seeded(n, n)))
-            assert set(fresh_tables) == {("plan", n // 2), ("first form", n)}
+            assert set(fresh_tables) == {("plan", n // 2), ("roots", n)}
             hilbert_first(Signal(seeded(n + 1, n + 1)))
             assert set(fresh_tables) == {("first bins", n + 1), ("plan", n + 1)}
 
@@ -565,8 +562,8 @@ class TestTraceBoundary:
 
 
 class TestTableCache:
-    """Plans, twiddles and weights come from the one byte-bounded table
-    cache in dft, shared by every thread."""
+    """Plans, roots of unity and odd-n multipliers come from the one
+    byte-bounded table cache in dft, shared by every thread."""
 
     def test_every_table_the_cache_holds_is_read_only(self, fresh_tables):
         for n in (64, 63, 5794, 5793):  # Stockham and Bluestein, even and odd
@@ -577,7 +574,7 @@ class TestTableCache:
             if n % 2 == 0:
                 hilbert_second(f, Branch.PLUS, halfband=True)
         kinds = {kind for kind, _ in fresh_tables}
-        assert kinds == {"plan", "pack twiddles", "first form", "first bins", "double twiddle"}
+        assert kinds == {"plan", "roots", "first bins"}
         for table in fresh_tables.values():
             assert all(not a.flags.writeable for a in table_arrays(table))
 
@@ -684,16 +681,18 @@ class TestPackedPath:
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 1000, 5794, 100_000, 1 << 16])
     def test_first_form_weights_are_the_multiplier_derivation_bit_for_bit(self, n):
         # alpha = (m1+m2)/2 + (m1-m2)*Re t = i*a and beta = -i*(m1-m2)*Im t = b,
-        # with m = multiplier_bins(n) and the unpack twiddles t, for 0 < k < n/2
-        import hxkit.hilbert as hilbert
-
+        # with m = multiplier_bins(n) and the unpack twiddles t = -(i/2)*w^k,
+        # w = exp(-2*pi*i/n), for 0 < k < n/2; the repack reads a and b off
+        # the cached roots c = exp(+2*pi*i*k/n) as a = -Im c and b = -Re c
+        dft = importlib.import_module("hxkit.dft")
         nh = n // 2
         m = multiplier_bins(n)[: nh + 1]
         lo, hi = m.imag[:nh], m.imag[nh:0:-1]  # m1 = i*lo, m2 = -i*hi
-        t = hilbert._pack_twiddles(n)[:nh]
+        t = -0.5j * dft._unit_roots(np.arange(nh), n)
         want = np.stack((0.5 * (lo - hi) + (lo + hi) * t.real, (lo + hi) * t.imag))
         assert not np.any(m.real)
-        assert hilbert._first_form_bins(n).tobytes() == want[:, 1:].tobytes()
+        c = dft._table("roots", n, dft._half_roots)[1:nh]
+        assert np.stack((-c.imag, -c.real)).tobytes() == want[:, 1:].tobytes()
 
     @pytest.mark.parametrize("n", [1 << 16, 5794])
     def test_warmed_even_first_form_peak_memory(self, n):
