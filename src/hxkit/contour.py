@@ -241,13 +241,21 @@ def _weights(curve: JordanCurve) -> np.ndarray:
 
 
 def cauchy_integral(f: AnalyticTestFunction, curve: JordanCurve, z) -> complex:
-    """(1/2pi*i) * contour_integral f(z')/(z' - z) dz' for interior z, one
-    Gauss-Legendre weighted sum over the curve's nodes."""
+    """(1/2pi*i) * contour_integral f(z')/(z' - z) dz' for interior z.
+
+    The integral is the barycentric quotient of two Gauss-Legendre sums on
+    the same nodes, sum w_j f_j/(z_j - z) over sum w_j/(z_j - z), the
+    second being the rule applied to f = 1, whose integral is 2*pi*i.  Near
+    the curve both sums err alike and their errors cancel in the quotient,
+    which dividing the first by 2*pi*i would leave (Ioakimidis, Papadakis
+    & Perdios 1991; Austin, Kravanja & Trefethen 2014).
+    """
     z = complex(z)
     chain = curve.chain()
     w = chain - z
     _interior_trace(chain, w)
-    return complex(np.dot(_weights(curve), f.value(chain[1:-1]) / w[1:-1])) / (2j * math.pi)
+    q = _weights(curve) / w[1:-1]
+    return complex(np.dot(q, f.value(chain[1:-1])) / q.sum())
 
 
 def log_kernel_line_integral(

@@ -31,7 +31,10 @@ DFT(X)[-k mod N] / N (Van Loan 1992).  Every other size takes the
 chirp-based (Bluestein) reduction to a cyclic convolution, padded to the
 smallest 5-smooth length >= 2n-1 and run on the same stages in the pad's
 workspace, so it too allocates only its result.  Both act on one 1-d
-sequence; there is no batch axis.  :func:`dft_direct_reference` evaluates
+sequence; there is no batch axis.  Every table is built from roots of
+unity formed in place (:func:`_unit_roots`), and a Bluestein plan forms
+its padded chirp in the pad's workspace, so a plan build allocates little
+beyond the tables it returns and the workspace its transforms reuse.  :func:`dft_direct_reference` evaluates
 the defining sums in O(N^2) and is the oracle the fast paths are tested
 against.
 
@@ -160,14 +163,25 @@ def _next_smooth(n: int) -> int:
 
 
 def _unit_roots(e: np.ndarray, n: int) -> np.ndarray:
-    """exp(-2*pi*i*e/n), with e reduced mod n to the residue nearest 0.
+    """exp(-2*pi*i*e/n) for an integer array e, reduced mod n to the residue
+    nearest 0.
 
-    The reduction keeps every angle within [-pi, pi], where it is formed
-    with the least rounding.
+    The reduction runs in integers, in place, so it is exact for any e,
+    and keeps every angle t within [-pi, pi], where it is formed with the
+    least rounding.  cos t and 0.0 - sin t (+0.0 at t = 0, as exp gives)
+    go straight into the result's real and imaginary parts, sin t through
+    the angle array itself, so the build holds the residues, one float
+    array of angles and the result, and no complex temporary: the same
+    bits as one complex exp of the angles.
     """
     e = e % n
-    e = np.where(2 * e > n, e - n, e)
-    return np.exp((-2j * np.pi / n) * e)
+    np.subtract(e, n, out=e, where=e > n // 2)
+    t = np.multiply(e, 2 * np.pi / n)
+    del e
+    out = np.empty(t.shape, dtype=np.complex128)
+    np.cos(t, out=out.real)
+    np.subtract(0.0, np.sin(t, out=t), out=out.imag)
+    return out
 
 
 def _half_roots(n: int) -> np.ndarray:
@@ -227,15 +241,19 @@ def plan(n: int) -> DftPlan:
     k = np.arange(n, dtype=np.int64)
     chirp = _unit_roots(k * k, 2 * n)
     pad_plan = plan(m)
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1:] = np.conj(chirp[1:])[::-1]
+    # the zero-padded conj(chirp) is built in the pad's spare row, which the
+    # forward stages never write, so the build holds no length-m temporary
+    w = _workspace(m)
+    b = w[1]
+    np.conjugate(chirp, out=b[:n])
+    b[n:m - n + 1] = 0.0
+    np.conjugate(chirp[:0:-1], out=b[m - n + 1:])
     return DftPlan(
         size=n,
         strategy=BLUESTEIN,
         pad_plan=pad_plan,
         chirp=chirp,
-        chirp_spectrum=_stockham(b, pad_plan.stages_fwd, np.empty_like(b), _workspace(m)[0]),
+        chirp_spectrum=_stockham(b, pad_plan.stages_fwd, np.empty(m, dtype=np.complex128), w[0]),
     )
 
 
@@ -487,6 +505,8 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
             f"one-sided spectrum must hold bins 0..N/2, {nh + 1} of them "
             f"(= plan size + 1), got shape {v.shape}"
         )
+    # a cold call builds the roots before its result and workspace exist
+    roots = _table("roots", 2 * nh, _half_roots)
     v = v.astype(np.complex128, copy=False)
     out = np.empty(2 * nh, dtype=np.complex128)
     x = _spare_row(plan_half)
@@ -494,7 +514,7 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
     x[0] += v[nh]
     _inverse_into(plan_half, x, out[0::2], 1.0 / (2 * nh))
     x = _spare_row(plan_half)
-    np.multiply(v[:nh], _table("roots", 2 * nh, _half_roots)[:nh], out=x)
+    np.multiply(v[:nh], roots[:nh], out=x)
     x[0] -= v[nh]  # the root at j = 0 is 1
     _inverse_into(plan_half, x, out[1::2], 1.0 / (2 * nh))
     return out

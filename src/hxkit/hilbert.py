@@ -40,7 +40,10 @@ its inverse exceeds 1e-12 of the peak.  Plans, the roots of unity of
 each even size (every even-N weight is read off them) and the odd-N
 multiplier come from the one byte-bounded table cache in :mod:`hxkit.dft`,
 and scratch rows from the engine's per-thread workspace, so a warmed call
-allocates a few arrays of the output's size.
+allocates a few arrays of the output's size.  Each route takes its tables
+before it allocates its spectrum or touches the workspace, so a first
+call at a new size allocates little more than the tables and workspace it
+leaves cached and its warm peak.
 
 No route writes into its input: each reads the samples in place (copied
 once to contiguous float64 if strided, float32 or complex) and allocates
@@ -190,7 +193,7 @@ def _packed_forward(x: np.ndarray) -> np.ndarray:
     return dft_forward(_table("plan", x.shape[0] // 2, plan), x.view(np.complex128))
 
 
-def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, c: np.ndarray) -> None:
     """Bins 0..N/2 of the length-N spectrum from the packed transform z.
 
     With Z[N/2] := Z[0] and w = exp(-2*pi*i/N), X[k] = (Z[k] + conj
@@ -199,7 +202,6 @@ def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     conj(conj(d)*c), which is exact.  ``scratch`` has at least N/2 bins.
     """
     nh = z.shape[0]
-    c = _table("roots", 2 * nh, _half_roots)
     b = scratch[:nh]
     np.conjugate(z[:0:-1], out=b[1:])
     b[0] = np.conj(z[0])
@@ -227,7 +229,7 @@ def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return X
 
 
-def _first_form_repack(Z: np.ndarray, out: np.ndarray) -> None:
+def _first_form_repack(Z: np.ndarray, out: np.ndarray, roots: np.ndarray) -> None:
     """out[k] = Z'[k], the repacked first-form product, in six real passes
     on the roots c = exp(2*pi*i*k/N) (:func:`hxkit.dft._half_roots`); Z is
     overwritten.
@@ -245,7 +247,7 @@ def _first_form_repack(Z: np.ndarray, out: np.ndarray) -> None:
     0 < k < N/2, and Z'[0] = 0.  So Re Z'[k] = Im c*Im Z[k] - Re c*Re
     Z[N/2-k] and Im Z'[k] = Re c*Im Z[N/2-k] - Im c*Re Z[k].
     """
-    c = _table("roots", 2 * Z.shape[0], _half_roots)[1:-1]
+    c = roots[1:-1]
     cr, ci = c.real, c.imag
     zr, zi = Z.real, Z.imag
     re, im = out.real[1:], out.imag[1:]
@@ -265,11 +267,13 @@ def _first_form(x: np.ndarray) -> np.ndarray:
     Neither writes into ``x``.  The even path repacks the product into the
     spare row; its length-N/2 inverse is y[2m] + i*y[2m+1], real by
     construction.  The odd path copies out the real part of its output.
+    Each path takes its tables before it allocates its spectrum.
     """
     n = x.shape[0]
     if n % 2 == 0:
         p = _table("plan", n // 2, plan)
-        _first_form_repack(_packed_forward(x), zp := _spare_row(p))
+        roots = _table("roots", n, _half_roots)
+        _first_form_repack(_packed_forward(x), zp := _spare_row(p), roots)
         return dft_inverse(p, zp).view(np.float64)
     out = _full_length(x, _table("first bins", n, multiplier_bins))
     if (residue := _peak(out.imag)) > 1e-12 * (peak := _peak(x)):
@@ -282,8 +286,9 @@ def _halfband_plus(x: np.ndarray) -> np.ndarray:
     the unpack's scratch is the spare row."""
     nh = x.shape[0] // 2
     p = _table("plan", nh, plan)
+    roots = _table("roots", 2 * nh, _half_roots)
     bins = np.empty(nh + 1, dtype=np.complex128)
-    _unpack(_packed_forward(x), bins, _spare_row(p))
+    _unpack(_packed_forward(x), bins, _spare_row(p), roots)
     # multiplier_bins(n, Branch.PLUS) on bins 0..n/2 is -2i between DC and
     # Nyquist and -i at both, each with a +0.0 real part (the literal -2j
     # has -0.0, which would flip the sign of some zero products)
@@ -312,7 +317,13 @@ def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
     # rounding can be subnormal.
     if abs(e) <= 512:
         return transform(x)
-    out = transform(np.ldexp(x, -e))
+    return _scaled_back(transform(np.ldexp(x, -e)), e)
+
+
+def _scaled_back(out: np.ndarray, e: int) -> np.ndarray:
+    """out * 2^e, in place and exact, for a contiguous float64 or complex128
+    ``out``; a result past the float64 range raises
+    :class:`~hxkit.errors.ResultOverflowError`."""
     parts = out.view(np.float64)
     top = _peak_exponent(parts) + e
     if top > sys.float_info.max_exp:

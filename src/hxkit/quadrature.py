@@ -16,6 +16,12 @@ The log kernel is integrable through its singularity, so the cell that
 contains the evaluation point is integrated analytically instead of being
 dropped; dropping it costs an O(h ln h) bias that would blow the error
 budget of the cross-oracle comparisons.
+
+The quadrature oracles are linear in the samples, so each runs on them
+scaled to a unit peak by an exact power of 2 and scales its result back,
+as the spectral transforms do outside their window: finite samples of any
+magnitude give the bits of the unit-scale run, and only a result beyond
+the float64 range raises :class:`~hxkit.errors.ResultOverflowError`.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .errors import (
     NonUniformGridError,
     SizeMismatchError,
 )
-from .hilbert import Branch, _as_branch
+from .hilbert import Branch, _as_branch, _peak_exponent, _scaled_back
 
 __all__ = [
     "GridFunction",
@@ -138,6 +144,14 @@ def _eval_indices(f: GridFunction, x_eval) -> np.ndarray:
     return idx
 
 
+def _unit_peak(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """values as contiguous float64 or complex128, scaled by 2^-e to a peak
+    in [1/2, 1), and e; the scale is exact."""
+    v = np.ascontiguousarray(values, dtype=np.result_type(values.dtype, np.float64))
+    e = _peak_exponent(parts := v.view(np.float64))
+    return np.ldexp(parts, -e).view(v.dtype), e
+
+
 def _trapezoid_weights(n: int) -> np.ndarray:
     w = np.ones(n)
     w[0] = w[-1] = 0.5
@@ -183,15 +197,16 @@ def hilbert_first_pv_quadrature(
     if enforce_decay:
         _require_decay(f)
     idx = _eval_indices(f, x_eval)
-    w = _trapezoid_weights(len(f)) * f.values
-    deriv = grid_derivative(f.values, h)
-    out = np.empty(idx.shape[0], dtype=np.result_type(f.values.dtype, np.float64))
+    v, e = _unit_peak(f.values)
+    w = _trapezoid_weights(len(f)) * v
+    deriv = grid_derivative(v, h)
+    out = np.empty(idx.shape[0], dtype=v.dtype)
     for row, j in enumerate(idx):
         with np.errstate(divide="ignore"):
             k = 1.0 / (f.nodes[j] - f.nodes)
         k[j] = 0.0
         out[row] = -(h / math.pi) * np.dot(w, k) + (h / math.pi) * deriv[j]
-    return GridFunction(f.nodes[idx], out)
+    return GridFunction(f.nodes[idx], _scaled_back(out, e))
 
 
 def _log_kernel_row(f: GridFunction, j: int, h: float, bsign: int) -> np.ndarray:
@@ -222,12 +237,13 @@ def log_kernel_convolve(f: GridFunction, branch, x_eval=None) -> GridFunction:
     b = _as_branch(branch)
     h = _require_uniform(f)
     idx = _eval_indices(f, x_eval)
-    w = _trapezoid_weights(len(f)) * f.values
+    v, e = _unit_peak(f.values)
+    w = _trapezoid_weights(len(f)) * v
     out = np.empty(idx.shape[0], dtype=np.complex128)
     for row, j in enumerate(idx):
         out[row] = np.dot(w, _log_kernel_row(f, j, h, b.sign))
     out *= h / math.pi
-    return GridFunction(f.nodes[idx], out)
+    return GridFunction(f.nodes[idx], _scaled_back(out, e))
 
 
 def hilbert_second_quadrature(f: GridFunction, branch, x_eval=None) -> GridFunction:
@@ -242,8 +258,9 @@ def hilbert_second_quadrature(f: GridFunction, branch, x_eval=None) -> GridFunct
     """
     h = _require_uniform(f)
     _require_decay(f)
-    g = GridFunction(f.nodes, grid_derivative(f.values, h))
-    return log_kernel_convolve(g, branch, x_eval)
+    v, e = _unit_peak(f.values)
+    out = log_kernel_convolve(GridFunction(f.nodes, grid_derivative(v, h)), branch, x_eval)
+    return GridFunction(out.nodes, _scaled_back(out.values, e))
 
 
 def stieltjes_residual(f: GridFunction, alpha: GridFunction, a: float, b: float) -> float:

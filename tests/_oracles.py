@@ -6,6 +6,8 @@ asymptotic tail series for the Dawson function, plus an exact lattice sum
 (cotangent identity) for periodization.  The one spectral oracle,
 :func:`spectral_oracle`, is the length-N complex pipeline that the public
 transforms replace with half-length transforms for even N.
+:func:`unit_roots_reference` builds roots of unity through one complex exp,
+the reference the engine's table builder must match in every bit.
 """
 
 import math
@@ -81,3 +83,11 @@ def spectral_oracle(x, branch=None) -> np.ndarray:
     n = len(x)
     p = plan(n)
     return dft_inverse(p, dft_forward(p, x) * multiplier_bins(n, branch))
+
+
+def unit_roots_reference(e, n: int) -> np.ndarray:
+    """exp(-2*pi*i*e/n) as one complex exp of the angles, with e reduced in
+    integers to the residue mod n nearest 0."""
+    e = e % n
+    e = np.where(2 * e > n, e - n, e)
+    return np.exp((-2j * np.pi / n) * e)

@@ -314,23 +314,27 @@ class TestContour:
         assert main(["contour", "--point", "0,0"]) == 2
 
 
+def _child_env():
+    """This environment with the tested checkout's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestModuleEntry:
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # every hx process pays each module-level import; the contour
         # panels import leggauss only when a curve is built
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         script = ("import sys, hxkit.cli; "
                   "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
     def test_python_dash_m(self):
-        proc = subprocess.run([sys.executable, "-m", "hxkit", "--help"],
+        proc = subprocess.run([sys.executable, "-m", "hxkit", "--help"], env=_child_env(),
                               capture_output=True, text=True)
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert "transform" in proc.stdout
 

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -14,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_arrays
+from _oracles import unit_roots_reference
+from conftest import table_arrays, traced_peak
 from hxkit import dft
 from hxkit.dft import (
     BLUESTEIN,
@@ -338,15 +338,7 @@ class TestWorkspace:
             fn = dft_inverse if kind.startswith("inverse") else dft_forward
             def call():
                 return fn(p, x)
-        tracemalloc.start()
-        try:
-            call()
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            out = call()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(call)
         assert peak <= 1.5 * out.nbytes
 
     def test_warmed_bluestein_transform_allocates_only_its_result(self):
@@ -369,15 +361,7 @@ class TestWorkspace:
                             (lambda: dft_inverse(p, z), 2.5),
                             (lambda: dft_inverse(p, x), 2.5),
                             (lambda: dft_inverse_halfband(half, bins), 1.5)):
-            tracemalloc.start()
-            try:
-                call()
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                out = call()
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+            out, peak = traced_peak(call)
             assert peak <= bound * out.nbytes
 
     def test_two_threads_match_one_thread_bit_for_bit(self):
@@ -738,6 +722,48 @@ class TestTiles:
         for got, ref, oracle in zip(tiled, whole, want):
             assert got.tobytes() == ref.tobytes()
             assert rel_err(ref, oracle) <= 1e-12
+
+
+class TestRootTables:
+    """Every table is built from roots formed as cos t and 0.0 - sin t in
+    place; each must equal the complex-exp build in every bit, signed
+    zeros included."""
+
+    @staticmethod
+    def _tables(n):
+        tables = table_arrays(plan(n))
+        if n % 2 == 0:
+            tables.append(dft._half_roots(n))
+        return tables
+
+    # 1 to 4 stages, even and odd (2, 27; 64, 225; 1000, 3^7; 2^17, 5^7),
+    # and Bluestein, odd and even (7, 63, 1009, 5793; 2018, 5794)
+    @pytest.mark.parametrize("n", [2, 27, 64, 225, 1000, 3**7, 1 << 17, 5**7,
+                                   7, 63, 1009, 5793, 2018, 5794])
+    def test_plans_and_roots_match_the_complex_exp_build(self, n, monkeypatch):
+        stages = {2: 1, 27: 1, 64: 2, 225: 2, 1000: 3, 3**7: 3, 1 << 17: 4, 5**7: 4}
+        assert len(plan(n).stages_fwd) == stages.get(n, 0)
+        got = self._tables(n)
+        monkeypatch.setattr(dft, "_unit_roots", unit_roots_reference)
+        want = self._tables(n)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_dft_matrices_match_the_complex_exp_build(self, monkeypatch):
+        got = [dft._dft_matrix.__wrapped__(r) for r in dft._RADICES]
+        monkeypatch.setattr(dft, "_unit_roots", unit_roots_reference)
+        want = [dft._dft_matrix.__wrapped__(r) for r in dft._RADICES]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_exponents_past_2_53_are_reduced_in_integers(self):
+        # the chirp exponents k^2 of a size near 10^8, as a Bluestein plan
+        # forms them: past 2^53 a float angle would lose the residue
+        n = 100_000_007
+        k = np.arange(n - 1000, n, dtype=np.int64)
+        e = k * k
+        assert int(e[0]) > 2**53
+        got = dft._unit_roots(e, 2 * n)
+        assert got.tobytes() == unit_roots_reference(e, 2 * n).tobytes()
+        assert int(e[0]) == (n - 1000) ** 2  # the exponents are not written
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count():

@@ -12,6 +12,7 @@ from hxkit.errors import (
     DomainError,
     InvalidSizeError,
     NonUniformGridError,
+    ResultOverflowError,
     SizeMismatchError,
 )
 from hxkit.hilbert import Branch, Signal, hilbert_first, hilbert_second
@@ -269,6 +270,35 @@ class TestSecondFormQuadrature:
         scale = np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() < 5e-3 * scale
         assert np.abs(lhs - rhs)[4:-4].max() < 1e-10 * scale
+
+
+ORACLES = {
+    "pv": hilbert_first_pv_quadrature,
+    "second": lambda f: hilbert_second_quadrature(f, Branch.PLUS),
+    "log": lambda f: log_kernel_convolve(f, Branch.MINUS),
+}
+
+
+class TestMagnitudeRange:
+    """The oracles run at a unit peak and scale back by the same power of 2."""
+
+    @pytest.mark.parametrize("peak", [2e306, 5e306, 1e-300])
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_extreme_peaks_are_the_unit_scale_result_times_a_power_of_two(self, oracle, peak):
+        # unscaled, the pv oracle's sums overflowed at a peak of 5e306 and
+        # the others' at 2e306, raising DataError on finite input
+        g = gauss_grid(512)
+        big = peak * g.values
+        k = math.frexp(float(np.abs(big).max()))[1]
+        unit = ORACLES[oracle](GridFunction(g.nodes, np.ldexp(big, -k))).values
+        got = ORACLES[oracle](GridFunction(g.nodes, big)).values
+        assert got.tobytes() == np.ldexp(unit.view(np.float64), k).view(unit.dtype).tobytes()
+
+    def test_a_result_beyond_float64_raises_result_overflow(self):
+        # the log kernel's result peaks at about twice the samples' peak
+        g = gauss_grid(512)
+        with pytest.raises(ResultOverflowError):
+            log_kernel_convolve(GridFunction(g.nodes, 1.7e308 * g.values), Branch.PLUS)
 
 
 class TestGridDerivative:

@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from hxkit import sigio
 from hxkit.errors import DataError
 from hxkit.sigio import infer_format, read_signal, write_values
@@ -306,15 +305,7 @@ class TestWrite:
         if dtype is np.complex128:
             v = v + 1j * rng.standard_normal(1 << 16)
         p = tmp_path / "o.f64le"
-        tracemalloc.start()
-        try:
-            write_values(p, "f64le", v)
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            write_values(p, "f64le", v)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_values(p, "f64le", v))
         assert peak <= 1.5 * v.nbytes
         assert p.read_bytes() == v.view(np.float64).astype("<f8").tobytes()
 
