@@ -11,6 +11,9 @@ with failing checks exits 1.
 Human-readable output goes to stdout and diagnostics to stderr; the only
 machine-read artifacts are the signal/report files themselves.  The RNG
 seed is --seed, 42 by default.
+
+The bench, contour and verify modules load inside the commands that use
+them, so ``hx transform`` and ``hx analytic`` start without them.
 """
 
 from __future__ import annotations
@@ -20,17 +23,9 @@ import sys
 
 import numpy as np
 
-from .bench import BenchConfig, run_bench, size_for_power, write_csv
-from .contour import (
-    AnalyticTestFunction,
-    JordanCurve,
-    cauchy_integral,
-    log_kernel_line_integral,
-)
 from .errors import DataError, DomainError, InvariantBreach
 from .hilbert import Branch, analytic_signal, hilbert_first, hilbert_second
 from .sigio import infer_format, read_signal, write_values
-from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -43,6 +38,10 @@ EXIT_INVARIANT = 4
 _BRANCH_FORMS = {"second-plus": Branch.PLUS, "second-minus": Branch.MINUS}
 
 _DEFAULT_POWERS = "10,12,12.5,18.5,20"
+
+# the --suite choices, :data:`hxkit.verify.SUITES`, named here so that
+# building the parser does not load the verify module
+_SUITES = ("core", "quadrature", "contour", "all")
 
 
 def _parse_floats(text: str, n: int, what: str) -> tuple:
@@ -62,7 +61,9 @@ def _parse_complex_list(text: str, what: str) -> list:
         raise DomainError(f"{what}: {text!r} does not parse as numbers") from None
 
 
-def _parse_curve(desc: str, nodes: int, t0: float) -> JordanCurve:
+def _parse_curve(desc: str, nodes: int, t0: float):
+    from .contour import JordanCurve
+
     kind, _, rest = desc.partition(":")
     if kind == "circle":
         cx, cy, r = _parse_floats(rest, 3, "circle curve")
@@ -99,19 +100,22 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+
     tokens = [t.strip() for t in args.powers.split(",")]
     try:
         powers = tuple(float(t) for t in tokens)
     except ValueError:
         raise DomainError(f"invalid power list {args.powers!r}") from None
-    config = BenchConfig(powers=powers, trials=args.trials, warmup=args.warmup, seed=args.seed)
-    records = run_bench(config)
-    write_csv(records, args.out)
+    config = bench.BenchConfig(powers=powers, trials=args.trials, warmup=args.warmup,
+                               seed=args.seed)
+    records = bench.run_bench(config)
+    bench.write_csv(records, args.out)
     print(f"{'power':>7} {'n':>8} {'form':>7} {'mean_ms':>12} {'stddev_ms':>12} {'vs_first':>9}")
     for r in records:
         pct = "" if r.percent_increase is None else f"{r.percent_increase:+.1f}%"
         print(
-            f"{r.power:>7g} {size_for_power(r.power):>8d} {r.form:>7} "
+            f"{r.power:>7g} {bench.size_for_power(r.power):>8d} {r.form:>7} "
             f"{r.mean_ms:>12.6g} {r.stddev_ms:>12.6g} {pct:>9}"
         )
         if r.resolution_warning:
@@ -124,7 +128,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    outcome = run_suite(args.suite, seed=args.seed)
+    from . import verify
+
+    outcome = verify.run_suite(args.suite, seed=args.seed)
     for check in outcome.checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.line}")
         for note in check.notes:
@@ -134,7 +140,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if outcome.passed else EXIT_CHECKS_FAILED
 
 
-def _contour_function(args) -> AnalyticTestFunction:
+def _contour_function(args):
+    from .contour import AnalyticTestFunction
+
     if args.poly is not None:
         return AnalyticTestFunction.polynomial(_parse_complex_list(args.poly, "--poly"))
     params = _parse_complex_list(args.exp, "--exp")
@@ -144,6 +152,8 @@ def _contour_function(args) -> AnalyticTestFunction:
 
 
 def cmd_contour(args) -> int:
+    from .contour import cauchy_integral, log_kernel_line_integral
+
     f = _contour_function(args)
     curve = _parse_curve(args.curve, args.nodes, args.start)
     zx, zy = _parse_floats(args.point, 2, "--point")
@@ -203,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bench)
 
     v = sub.add_parser("verify", help="run identity and cross-check suites")
-    v.add_argument("--suite", choices=list(SUITES), default="all")
+    v.add_argument("--suite", choices=_SUITES, default="all")
     v.add_argument("--seed", type=int, default=42)
     v.set_defaults(func=cmd_verify)
 

@@ -17,7 +17,10 @@ Kronecker factor (Van Loan 1992, "Computational Frameworks for the FFT"):
 products of r-point DFT matrices with the data, run by BLAS zgemm.  The
 first stage takes the data transposed, as the four-step FFT does (Bailey
 1990, "FFTs in external or hierarchical memory"), so that its product
-lands in output order and its twiddle pass is one contiguous multiply.
+lands in output order and its twiddle pass is one contiguous multiply;
+as the four-step FFT bounds its working set, that product runs in row
+blocks of 512 KiB of operand, so that threaded OpenBLAS never takes
+resident memory of the whole transform's size for it.
 Each later stage folds its twiddles into its matrices, diag(twiddles) @
 F_r, as FFTW's twiddle codelets fold them into the butterfly (Frigo &
 Johnson 2005), and is one batched product with no twiddle pass.  The
@@ -313,6 +316,11 @@ def _workspace(n: int) -> np.ndarray:
     return buf
 
 
+# complex values of the first stage's transposed operand per product (512
+# KiB): the blocks of :func:`_stockham`, measured in README "Table memory"
+_BLOCK = 1 << 15
+
+
 def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
               partner: np.ndarray) -> np.ndarray:
     """Self-sorting mixed-radix forward transform of a 1-d sequence into ``out``.
@@ -324,15 +332,23 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     r*m becomes r of length m, and after the last stage (m = 1, where
     every twiddle is 1) the spectrum is in natural order.
 
-    Each stage is one matrix product (Van Loan 1992, "Computational
+    Each stage is a matrix product (Van Loan 1992, "Computational
     Frameworks for the FFT"), which numpy hands to BLAS zgemm.  The first
     stage (s = 1) computes y read as (m, r) = (x read as (r, m)).T @ F_r,
     with F_r the r-point DFT matrix (:func:`_dft_matrix`), straight into y,
     since F_r is symmetric and BLAS reads the transposed operand in place,
     then multiplies y by its (m, r) twiddle table in place, one contiguous
     pass; a single stage (m = 1) does the same with its (1, r) table of
-    ones.  Each later stage has its twiddles folded into its matrices, G[p]
-    = diag(w_(r*m)^(j*p)) @ F_r (:func:`_stage_tables`), and runs as one
+    ones.  That product runs in row blocks, m split evenly into the most
+    blocks of at least :data:`_BLOCK` values (one block below 2*_BLOCK),
+    as the four-step FFT bounds its working set (Bailey 1990).  On two
+    OpenBLAS threads one product over all m rows raised the process's peak
+    resident set by about the transform's size, in memory that BLAS keeps
+    and tracemalloc does not see; a block raises it by at most its own
+    size.  Each output value is the same dot product however the rows are
+    blocked.  Each
+    later stage has its twiddles folded into its matrices, G[p] =
+    diag(w_(r*m)^(j*p)) @ F_r (:func:`_stage_tables`), and runs as one
     batched product, y read as (m, r, s) = G @ (x read as (r, m, s),
     transposed to (m, r, s)), one zgemm per p with BLAS reading the rows of
     x at their stride; the last of several stages is the single product
@@ -352,7 +368,11 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     buffers = (out, partner) if len(stages) % 2 else (partner, out)
     m, r = stages[0].shape
     y, s = buffers[0], r
-    t = np.matmul(x.reshape(r, m).T, _dft_matrix(r), out=y.reshape(m, r))
+    xt, t, f = x.reshape(r, m).T, y.reshape(m, r), _dft_matrix(r)
+    # m split evenly into the most blocks of at least _BLOCK values
+    rows = -(-m // max(1, m * r // _BLOCK))
+    for lo in range(0, m, rows):
+        np.matmul(xt[lo:lo + rows], f, out=t[lo:lo + rows])
     t *= stages[0]
     for i, g in enumerate(stages[1:], 1):
         m, r = g.shape[:2]

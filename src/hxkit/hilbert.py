@@ -261,12 +261,15 @@ def _first_form_repack(Z: np.ndarray, out: np.ndarray, roots: np.ndarray) -> Non
     out[0] = 0.0  # Z'[0] = 0
 
 
-def _first_form(x: np.ndarray) -> np.ndarray:
+def _first_form(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """H x for real x: the packed path for even N, the complex one for odd.
 
-    Neither writes into ``x``.  The even path repacks the product into the
-    spare row; its length-N/2 inverse is y[2m] + i*y[2m+1], real by
-    construction.  The odd path copies out the real part of its output.
+    The even path repacks the product into the spare row; its length-N/2
+    inverse is y[2m] + i*y[2m+1], real by construction.  The odd path
+    copies out the real part of its output, into ``out`` if given (a
+    float64 array of N samples, which may be ``x`` itself: it is written
+    once ``x`` has been read), else into a new array; the even path
+    ignores ``out``.  Neither path writes into ``x`` unless it is ``out``.
     Each path takes its tables before it allocates its spectrum.
     """
     n = x.shape[0]
@@ -275,10 +278,13 @@ def _first_form(x: np.ndarray) -> np.ndarray:
         roots = _table("roots", n, _half_roots)
         _first_form_repack(_packed_forward(x), zp := _spare_row(p), roots)
         return dft_inverse(p, zp).view(np.float64)
-    out = _full_length(x, _table("first bins", n, multiplier_bins))
-    if (residue := _peak(out.imag)) > 1e-12 * (peak := _peak(x)):
+    h = _full_length(x, _table("first bins", n, multiplier_bins))
+    if (residue := _peak(h.imag)) > 1e-12 * (peak := _peak(x)):
         raise InvariantBreach(f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {peak:.3e}")
-    return out.real.copy()
+    if out is None:
+        return h.real.copy()
+    out[...] = h.real
+    return out
 
 
 def _halfband_plus(x: np.ndarray) -> np.ndarray:
@@ -297,7 +303,7 @@ def _halfband_plus(x: np.ndarray) -> np.ndarray:
     return dft_inverse_halfband(p, bins)
 
 
-def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
+def _at_unit_scale(x: np.ndarray, transform, reuse_copy: bool = False) -> np.ndarray:
     """transform(x) on x itself or at a unit peak; the result is finite.
 
     Every public transform enters here; ``transform`` only reads ``x``.
@@ -305,7 +311,10 @@ def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
     scan of an output that cannot overflow.  Outside, x is scaled to a peak
     in [1/2, 1) by an exact power of 2 and the result scaled back, so such
     input keeps the bits of the unit-scale run; a result past the float64
-    range raises :class:`~hxkit.errors.ResultOverflowError`.
+    range raises :class:`~hxkit.errors.ResultOverflowError`.  With
+    ``reuse_copy`` (:func:`_first_form`) the scaled copy is also passed as
+    ``out``, the buffer of a real result, so that no second array of N
+    samples is alive beside the spectrum.
     """
     e = _peak_exponent(x)
     # The window: a peak in [2^(e-1), 2^e) with |e| <= 512.  An output is at
@@ -317,7 +326,8 @@ def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
     # rounding can be subnormal.
     if abs(e) <= 512:
         return transform(x)
-    return _scaled_back(transform(np.ldexp(x, -e)), e)
+    v = np.ldexp(x, -e)
+    return _scaled_back(transform(v, out=v) if reuse_copy else transform(v), e)
 
 
 def _scaled_back(out: np.ndarray, e: int) -> np.ndarray:
@@ -370,7 +380,7 @@ def hilbert_first(f: Signal) -> Signal:
     inverse is checked against 1e-12*max|f| and truncated.
     """
     x = _require_real(f, "hilbert_first")
-    return _result(f, _at_unit_scale(x, _first_form))
+    return _result(f, _at_unit_scale(x, _first_form, reuse_copy=True))
 
 
 def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
@@ -395,7 +405,7 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
             raise InvalidSizeError("halfband inverse needs an even signal length")
         z = _at_unit_scale(x, _halfband_plus)
         return _result(f, z if b is Branch.PLUS else np.conjugate(z, out=z))
-    h = _at_unit_scale(x, _first_form)
+    h = _at_unit_scale(x, _first_form, reuse_copy=True)
     z = np.empty(len(h), dtype=np.complex128)
     np.negative(h, out=z.real)
     np.multiply(x, -b.sign, out=z.imag)
@@ -436,7 +446,7 @@ def analytic_signal(f: Signal) -> Signal:
 
     Assembled from one first-form call, as :func:`hilbert_second` is."""
     x = _require_real(f, "analytic_signal")
-    h = _at_unit_scale(x, _first_form)
+    h = _at_unit_scale(x, _first_form, reuse_copy=True)
     z = np.empty(len(h), dtype=np.complex128)
     z.real = x
     np.subtract(0.0, h, out=z.imag)  # np.negative would turn a zero of H f into -0.0

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,38 @@ def traced_peak(call, warm=True):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def rss_growth_mb(snippet, setup="", blas_threads=1):
+    """The growth of the peak resident set, in MB, across ``snippet`` run
+    after ``setup`` in a fresh interpreter, with this checkout's src first
+    on sys.path and OPENBLAS_NUM_THREADS=blas_threads.
+
+    Unlike :func:`traced_peak` it sees every allocation of the process,
+    BLAS's own buffers included.  The peak is VmHWM where /proc has it:
+    Linux carries a parent's peak over fork and exec into the child's
+    ru_maxrss, so under a large test process the child's ru_maxrss starts
+    above anything the snippet touches.  Elsewhere it is ru_maxrss."""
+    src = str(Path(dft.__file__).resolve().parents[1])
+    script = textwrap.dedent(f"""
+        import os, resource, sys
+        sys.path.insert(0, {src!r})
+
+        def peak():
+            if os.path.exists("/proc/self/status"):
+                with open("/proc/self/status") as status:
+                    hwm = next(line for line in status if line.startswith("VmHWM:"))
+                return int(hwm.split()[1]) * 1024
+            # ru_maxrss counts KiB on Linux, bytes on macOS
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (
+                1 if sys.platform == "darwin" else 1024)
+    """) + textwrap.dedent(setup) + "\nbefore = peak()\n" + textwrap.dedent(snippet) + \
+        "\nprint(peak() - before)\n"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1e6
 
 
 def table_arrays(table):

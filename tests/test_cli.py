@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hxkit.bench as bench
 import hxkit.cli as cli
 import hxkit.verify as verify
 from hxkit.cli import main
@@ -74,7 +75,7 @@ class TestSeedResolution:
             seen.append(seed)
             return VerifyOutcome(suite, ())
 
-        monkeypatch.setattr(cli, "run_suite", fake_suite)
+        monkeypatch.setattr(verify, "run_suite", fake_suite)
         return seen
 
     def test_default(self, monkeypatch, capsys):
@@ -213,7 +214,7 @@ class TestBench:
     def test_memory_error_maps_to_2(self, capsys, monkeypatch, tmp_path):
         def too_big(config):
             raise MemoryError("Unable to allocate 8.00 TiB")
-        monkeypatch.setattr(cli, "run_bench", too_big)
+        monkeypatch.setattr(bench, "run_bench", too_big)
         assert main(["bench", "--powers", "40", "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
         assert err == "error: Unable to allocate 8.00 TiB\n"
@@ -338,3 +339,55 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert "transform" in proc.stdout
 
+
+    @staticmethod
+    def _loaded_after(statement):
+        script = (f"import sys; {statement}; "
+                  "print(' '.join(sorted(m for m in sys.modules if m.startswith('hxkit'))))")
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_transform_commands_load_no_bench_contour_or_verify(self):
+        # those three load inside the commands that use them
+        assert self._loaded_after("import hxkit.cli") == [
+            "hxkit", "hxkit.cli", "hxkit.dft", "hxkit.errors", "hxkit.hilbert", "hxkit.sigio"]
+
+    def test_a_transforming_caller_loads_only_what_it_uses(self):
+        assert self._loaded_after("import hxkit") == ["hxkit"]
+        assert self._loaded_after("from hxkit import Signal, hilbert_first") == [
+            "hxkit", "hxkit.dft", "hxkit.errors", "hxkit.hilbert"]
+
+    def test_suite_choices_are_the_verify_suites(self):
+        assert cli._SUITES == verify.SUITES
+
+
+class TestPackageExports:
+    """``hxkit`` loads each submodule on first use of one of its names."""
+
+    def test_every_export_is_its_submodules_object(self):
+        import importlib
+
+        import hxkit
+
+        for name in hxkit.__all__:
+            module = importlib.import_module(f"hxkit.{hxkit._EXPORTS.get(name, name)}")
+            want = module if name in hxkit._SUBMODULES else getattr(module, name)
+            assert getattr(hxkit, name) is want
+
+    def test_dir_and_star_import_list_the_exports_before_they_load(self):
+        script = ("import sys, hxkit; names = dir(hxkit); ns = {}; "
+                  "exec('from hxkit import *', ns); "
+                  "print(sorted(hxkit.__all__) == sorted(set(ns) - {'__builtins__'}), "
+                  "set(hxkit.__all__) <= set(names), '_EXPORTS' in names)")
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True", "False"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import hxkit
+
+        with pytest.raises(AttributeError, match="no attribute 'hilbert_third'"):
+            hxkit.hilbert_third

@@ -710,6 +710,20 @@ class TestPackedPath:
         out, peak = traced_peak(call)
         assert peak <= 3.5 * out.nbytes
 
+    @pytest.mark.parametrize("k", [997, -997])  # peaks near 1e300 and 1e-300
+    def test_scaled_odd_length_writes_its_result_into_its_copy(self, k):
+        # outside the window the odd first form copies its real part into
+        # the scaled copy of the input: 3.00x the output, as inside it,
+        # against 4.00x with a new array beside the copy.  The output stays
+        # 2^k times the unit-scale one, bit for bit
+        n = 3**11
+        x = seeded(n, n)
+        x *= 0.75 / np.abs(x).max()
+        f = Signal(np.ldexp(x, k))
+        out, peak = traced_peak(lambda: hilbert_first(f).samples)
+        assert peak <= 3.05 * out.nbytes
+        assert out.tobytes() == np.ldexp(hilbert_first(Signal(x)).samples, k).tobytes()
+
 
 class TestColdCalls:
     """A first call at a new size builds its tables before its working arrays."""
