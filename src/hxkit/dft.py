@@ -24,22 +24,24 @@ resident memory of the whole transform's size for it.
 Each later stage folds its twiddles into its matrices, diag(twiddles) @
 F_r, as FFTW's twiddle codelets fold them into the butterfly (Frigo &
 Johnson 2005), and is one batched product with no twiddle pass.  The
-spectrum comes out in natural order, with no bit-reversal gather.  The
-stages ping-pong between the caller's output and one per-thread work
-row, with the parity chosen so that the last stage lands in the output,
-so a warmed transform allocates nothing but its result.  Only forward
-stages exist: the inverse runs them between two work rows, and its 1/N
-pass, its one write to the output, reads them back at -k mod N, x[k] =
-DFT(X)[-k mod N] / N (Van Loan 1992).  Every other size takes the
-chirp-based (Bluestein) reduction to a cyclic convolution, padded to the
-smallest 5-smooth length >= 2n-1 and run on the same stages in the pad's
-workspace, so it too allocates only its result.  Both act on one 1-d
-sequence; there is no batch axis.  Every table is built from roots of
+spectrum comes out in natural order, with no bit-reversal gather.  Each
+size keeps one per-thread work row, and the stages ping-pong between it
+and an array the call owns anyway, its result, with the parity chosen so
+that a forward transform's last stage lands in the result and an
+inverse's in the row.  Only forward stages exist: the inverse's 1/N
+pass, its one write to the result, reads the row back at -k mod N, x[k]
+= DFT(X)[-k mod N] / N (Van Loan 1992).  So a warmed transform allocates
+nothing but its result, and no second row outlives it.  Every other size
+takes the chirp-based (Bluestein) reduction to a cyclic convolution,
+padded to the smallest 5-smooth length >= 2n-1 and run on the same stages
+in two work rows of the pad's length, since no result of that length
+exists to borrow, so it too allocates only its result.  Both act on one
+1-d sequence; there is no batch axis.  Every table is built from roots of
 unity formed in place (:func:`_unit_roots`), and a Bluestein plan forms
-its padded chirp in the pad's workspace, so a plan build allocates little
-beyond the tables it returns and the workspace its transforms reuse.  :func:`dft_direct_reference` evaluates
-the defining sums in O(N^2) and is the oracle the fast paths are tested
-against.
+its padded chirp in its pad's rows, so a plan build allocates little
+beyond the tables it returns and the rows its transforms reuse.
+:func:`dft_direct_reference` evaluates the defining sums in O(N^2) and is
+the oracle the fast paths are tested against.
 
 Outputs do not depend on the number of BLAS threads, but BLAS picks its
 compute kernel for the CPU it runs on, and another kernel (for example
@@ -49,8 +51,9 @@ the last ulp.
 :func:`dft_inverse_halfband` inverts a one-sided spectrum of even length N,
 given as its bins 0..N/2, with two inverse transforms of length N/2, one
 for the even output samples (Nyquist bin folded into DC) and one for the
-odd, each written into every other sample of the one array it allocates:
-the exact length-N inverse, equal to :func:`dft_inverse`'s up to rounding.
+odd, each run against one half of the one array it allocates and then
+placed in every other sample of it: the exact length-N inverse, equal to
+:func:`dft_inverse`'s up to rounding.
 """
 
 from __future__ import annotations
@@ -244,9 +247,10 @@ def plan(n: int) -> DftPlan:
     k = np.arange(n, dtype=np.int64)
     chirp = _unit_roots(k * k, 2 * n)
     pad_plan = plan(m)
-    # the zero-padded conj(chirp) is built in the pad's spare row, which the
-    # forward stages never write, so the build holds no length-m temporary
-    w = _workspace(m)
+    # the zero-padded conj(chirp) is built in the pad's row 1, which the
+    # forward stages below never write, so the build holds no length-m
+    # temporary
+    w = _workspace(m, 2)
     b = w[1]
     np.conjugate(chirp, out=b[:n])
     b[n:m - n + 1] = 0.0
@@ -296,24 +300,25 @@ def _table(kind: str, n: int, build):
     return table
 
 
-# per-thread (2, n) complex buffers for the sizes used last: row 0 is the
-# forward stages' ping-pong partner of the caller's output, row 1 the spare
-# row (:func:`_spare_row`), and the two rows together hold an inverse's
-# stages (:func:`_in_rows`)
+# per-thread complex work rows for the sizes used last: one at a Stockham
+# size, the partner of its transforms' stages beside an array each call
+# owns (its result), and two at a Bluestein pad, whose transforms have no
+# pad-length array to borrow (:func:`_in_rows`)
 _WORKSPACE = threading.local()
 _WORKSPACE_SIZES = 2
 
 
-def _workspace(n: int) -> np.ndarray:
-    """The calling thread's workspace of two length-n rows."""
+def _workspace(n: int, rows: int = 1) -> np.ndarray:
+    """The calling thread's first ``rows`` work rows of length n, as one
+    (rows, n) array; a size keeps the most rows it was asked for."""
     cache = _WORKSPACE.__dict__.setdefault("buffers", {})
     buf = cache.pop(n, None)
-    if buf is None:
-        buf = np.empty((2, n), dtype=np.complex128)
+    if buf is None or buf.shape[0] < rows:
+        buf = np.empty((rows, n), dtype=np.complex128)
     cache[n] = buf
     if len(cache) > _WORKSPACE_SIZES:
         del cache[next(iter(cache))]
-    return buf
+    return buf[:rows]
 
 
 # complex values of the first stage's transposed operand per product (512
@@ -354,18 +359,22 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     x at their stride; the last of several stages is the single product
     F_r @ (x read as (r, s)).
 
-    The stages alternate between ``out`` and ``partner`` (two distinct 1-d
-    views, strided or not), starting with ``out`` for an odd stage count
-    so that the last stage lands in ``out``.  ``x`` is read by the first
-    stage only, which writes one of the two, so ``x`` may be the other, or
-    any array that the first stage does not write (:func:`_spare_row`).
-    A strided ``x`` gives the same result, but its product does not run in
-    BLAS (:func:`_engine_input`).
+    The stages alternate between ``out`` and ``partner``, two distinct
+    contiguous rows, starting with ``out`` for an odd stage count so that
+    the last stage lands in ``out``.  ``x`` is read by the first stage
+    only, in place if it is contiguous complex128 and may not overlap the
+    buffer that stage writes.  Any other ``x`` (strided, another dtype, or
+    in that buffer) is first copied into the other buffer: that widens
+    other dtypes without a temporary, and keeps the first product on BLAS,
+    which a strided operand falls off.  So ``x`` may be either buffer.
     """
     if not stages:
         out[...] = x
         return out
     buffers = (out, partner) if len(stages) % 2 else (partner, out)
+    if x.dtype != np.complex128 or not x.flags.c_contiguous or np.may_share_memory(x, buffers[0]):
+        buffers[1][...] = x
+        x = buffers[1]
     m, r = stages[0].shape
     y, s = buffers[0], r
     xt, t, f = x.reshape(r, m).T, y.reshape(m, r), _dft_matrix(r)
@@ -383,55 +392,82 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
 
 
 def _spare_row(p: DftPlan) -> np.ndarray:
-    """p.size values a transform by ``p`` reads before it writes them: row 1
-    of the workspace its stages (its pad's, if Bluestein) run in, which only
-    an inverse's stages write, after reading it."""
-    return _workspace((p.pad_plan or p).size)[1][: p.size]
+    """p.size values where a transform by ``p`` may take its input: the one
+    work row of a Stockham size, or row 1 of a Bluestein pad's two, which
+    the pad's transforms read before they write it.  In the Stockham row,
+    the input costs one copy when the first stage writes the row: at an
+    even stage count forward, an odd one inverse (:func:`_stockham`)."""
+    if p.strategy == STOCKHAM:
+        return _workspace(p.size)[0]
+    return _workspace(p.pad_plan.size, 2)[1][: p.size]
 
 
 def _in_rows(p: DftPlan, x: np.ndarray) -> np.ndarray:
     """The stages of ``p`` run on ``x`` in its workspace's two rows: the
     first writes row 0, so ``x`` may be row 1, and the last lands in (and
     returns) row 0 for an odd stage count, row 1 for an even one."""
-    w = _workspace(p.size)
+    w = _workspace(p.size, 2)
     odd = len(p.stages_fwd) % 2
     return _stockham(x, p.stages_fwd, w[1 - odd], w[odd])
 
 
-def _bluestein(x: np.ndarray, p: DftPlan, out: np.ndarray, tail: np.ndarray) -> None:
-    """Arbitrary-length forward transform via padded cyclic convolution.
+def _bluestein(x: np.ndarray, p: DftPlan) -> np.ndarray:
+    """The padded cyclic convolution behind an arbitrary-length transform.
 
-    Bin 0 goes to ``out[0]``, bins 1..n-1 to ``tail`` (``out[1:]``, or
-    ``out[:0:-1]`` for the inverse).  Both padded transforms run forward;
-    the final chirp product reads the convolution off the second, F, as
-    conv[j] = F[-j mod m] / m.  Both run in the pad's two rows, each on an
-    input built in row 1 (:func:`_in_rows`), so the call allocates nothing
-    but ``out``.
+    Returns F, the second of two forward padded transforms, from which
+    :func:`_chirp_read` reads the convolution as conv[j] = F[-j mod m] / m.
+    Both run in the pad's two rows, each on an input built in row 1
+    (:func:`_in_rows`), so F is a workspace row and the transform
+    allocates nothing but its result.
     """
     n = p.size
     pad = p.pad_plan
-    m = pad.size
-    a = _workspace(m)[1]
+    a = _workspace(pad.size, 2)[1]
     a[:n] = x  # a real x in the chirp product would widen in a cast buffer
     a[:n] *= p.chirp
     a[n:] = 0.0
     A = np.multiply(_in_rows(pad, a), p.chirp_spectrum, out=a)
-    F = _in_rows(pad, A)
+    return _in_rows(pad, A)
+
+
+def _chirp_read(p: DftPlan, F: np.ndarray, out: np.ndarray, tail: np.ndarray) -> None:
+    """The final chirp product of a Bluestein transform off :func:`_bluestein`'s
+    F: bin 0 to ``out[0]``, bins 1..n-1 to ``tail`` (``out[1:]``, or
+    ``out[:0:-1]`` for the inverse)."""
+    m = p.pad_plan.size
     out[0] = F[0] / m  # chirp[0] = 1
     np.divide(p.chirp[1:], m, out=tail)
-    np.multiply(F[:m - n:-1], tail, out=tail)
+    np.multiply(F[:m - p.size:-1], tail, out=tail)
 
 
-def _inverse_into(p: DftPlan, X: np.ndarray, out: np.ndarray, scale: float) -> None:
-    """out[k] = scale * DFT(X)[-k mod n], read reversed off the workspace rows
-    (:func:`_in_rows`) once ``X`` is read, so ``out`` may be any view, ``X`` too."""
+def _transformed(p: DftPlan, X: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """DFT(X) as an inverse reads it back: a Stockham transform's stages run
+    between the work row and ``partner`` (an array of p.size values that
+    the call owns) and land in the row, which is returned; a Bluestein
+    transform returns :func:`_bluestein`'s F.  ``X`` may be ``partner``."""
     if p.strategy == STOCKHAM:
-        w = _in_rows(p, X)
+        return _stockham(X, p.stages_fwd, _workspace(p.size)[0], partner)
+    return _bluestein(X, p)
+
+
+def _inverse_read(p: DftPlan, w: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """out[k] = scale * DFT(X)[-k mod n], read reversed off :func:`_transformed`'s
+    ``w``; ``out`` may be any view that ``w`` does not overlap."""
+    if p.strategy == STOCKHAM:
         out[0] = w[0] * scale
         np.multiply(w[:0:-1], scale, out=out[1:])
     else:
-        _bluestein(X, p, out, out[:0:-1])
+        _chirp_read(p, w, out, out[:0:-1])
         out *= scale
+
+
+def _inverse_into(p: DftPlan, X: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """out[k] = scale * DFT(X)[-k mod n], with ``out``, a contiguous row of
+    p.size values, as the stages' partner (:func:`_transformed`).  ``X``
+    may be ``out`` itself or the spare row; a Stockham inverse copies it
+    once where the first stage writes it: ``out`` at an even stage count,
+    the row at an odd one."""
+    _inverse_read(p, _transformed(p, X, out), out, scale)
 
 
 def _as_vector(x, n: int) -> np.ndarray:
@@ -443,29 +479,14 @@ def _as_vector(x, n: int) -> np.ndarray:
     return v
 
 
-def _engine_input(p: DftPlan, x: np.ndarray) -> np.ndarray:
-    """``x`` as a transform by ``p`` reads it.
-
-    Stockham input that is not contiguous complex128 is copied into
-    :func:`_spare_row`: that widens other dtypes without a temporary, and
-    keeps the first stage's matrix product on BLAS, which a strided operand
-    falls off.  Bluestein reads any input once, in its chirp product."""
-    if p.strategy == STOCKHAM and (x.dtype != np.complex128 or not x.flags.c_contiguous):
-        slot = _spare_row(p)
-        slot[...] = x
-        return slot
-    return x
-
-
 def dft_forward(p: DftPlan, x) -> np.ndarray:
     """Forward transform of ``x`` (length must equal ``p.size``)."""
     x = _as_vector(x, p.size)
     out = np.empty(p.size, dtype=np.complex128)
-    x = _engine_input(p, x)
     if p.strategy == STOCKHAM:
         _stockham(x, p.stages_fwd, out, _workspace(p.size)[0])
     else:
-        _bluestein(x, p, out, out[1:])
+        _chirp_read(p, _bluestein(x, p), out, out[1:])
     return out
 
 
@@ -473,7 +494,7 @@ def dft_inverse(p: DftPlan, X) -> np.ndarray:
     """Inverse transform with the 1/N prefactor."""
     X = _as_vector(X, p.size)
     out = np.empty(p.size, dtype=np.complex128)
-    _inverse_into(p, _engine_input(p, X), out, 1.0 / p.size)
+    _inverse_into(p, X, out, 1.0 / p.size)
     return out
 
 
@@ -515,8 +536,13 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
     A one-sided spectrum of even length N = 2*plan_half.size is zero above
     Nyquist, so ``V`` is just its bins 0..N/2 (plan_half.size + 1 of them).
     Even output samples are the inverse of the low half with the Nyquist
-    bin folded into DC, written straight into out[0::2]; odd samples that
-    of the twiddled low half, into out[1::2].
+    bin folded into DC, odd samples that of the twiddled low half.  The
+    one array allocated, the result, is each half's partner in turn
+    (:func:`_transformed`), and each input is built where the first stage
+    does not write, so it is never copied: the even half runs against
+    out[N/2:] and is read back into it, the odd half against out[:N/2];
+    then the even samples move from out[N/2:] to out[0::2]
+    (:func:`_spread_upper_half`) and the odd half is read into out[1::2].
     """
     nh = plan_half.size
     v = np.asarray(V)
@@ -529,12 +555,30 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
     roots = _table("roots", 2 * nh, _half_roots)
     v = v.astype(np.complex128, copy=False)
     out = np.empty(2 * nh, dtype=np.complex128)
-    x = _spare_row(plan_half)
+    lo, hi, scale = out[:nh], out[nh:], 1.0 / (2 * nh)
+    # an odd stage count's first stage writes the work row (a Bluestein
+    # plan's stages_fwd is empty)
+    odd = len(plan_half.stages_fwd) % 2
+    x = hi if odd else _spare_row(plan_half)
     x[...] = v[:nh]
     x[0] += v[nh]
-    _inverse_into(plan_half, x, out[0::2], 1.0 / (2 * nh))
-    x = _spare_row(plan_half)
+    _inverse_into(plan_half, x, hi, scale)
+    x = lo if odd else _spare_row(plan_half)
     np.multiply(v[:nh], roots[:nh], out=x)
     x[0] -= v[nh]  # the root at j = 0 is 1
-    _inverse_into(plan_half, x, out[1::2], 1.0 / (2 * nh))
+    w = _transformed(plan_half, x, lo)
+    _spread_upper_half(out)
+    _inverse_read(plan_half, w, out[1::2], scale)
     return out
+
+
+def _spread_upper_half(out: np.ndarray) -> None:
+    """out[2k] = out[N/2 + k] for every k < N/2, in place: in ascending
+    chunks of halving length, each one's destinations below the values not
+    yet read, so no chunk's copy overlaps its own source."""
+    nh = out.shape[0] // 2
+    k = 0
+    while k < nh:
+        k1 = (nh + k + 1) // 2  # 2*(k1 - 1) < nh + k
+        out[2 * k:2 * k1:2] = out[nh + k:nh + k1]
+        k = k1

@@ -287,19 +287,50 @@ def _first_form(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _plus_bins(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, c: np.ndarray) -> None:
+    """Bins 0..N/2 of the plus-branch second form's spectrum from the packed
+    transform z: the unpacked bins (:func:`_unpack`) times
+    multiplier_bins(N, Branch.PLUS), which is -2i between DC and Nyquist
+    and -i at both, each with a +0.0 real part (the literal -2j has -0.0,
+    which would flip the sign of some zero products).
+
+    Between DC and Nyquist, with A = Z[k] and B = conj Z[N/2-k], the
+    product is -i*(A+B) - w^k*(A-B), formed as the conjugate of
+    i*conj(A+B) - conj(A-B)*c on the roots c = conj w^k in seven passes
+    and a scan for zeros (the unpack and the multiply take ten passes).
+    Every nonzero part has the bits of the unpack-then-multiply product,
+    whose halvings and doublings are exact; a zero part may differ in
+    sign, so a spectrum with one takes that product itself.  DC and
+    Nyquist are that product's values there.  ``scratch`` has at least
+    N/2 bins.
+    """
+    nh = z.shape[0]
+    q, e = scratch[1:nh], out[1:nh]
+    np.conjugate(z[1:], out=e)
+    np.add(e, z[:0:-1], out=q)  # conj(A+B)
+    np.subtract(e, z[:0:-1], out=e)  # conj(A-B)
+    e *= c[1:nh]
+    q *= 1j
+    np.subtract(q, e, out=q)
+    np.conjugate(q, out=e)
+    if not e.view(np.float64).all():
+        _unpack(z, out, scratch, c)
+        out[1:nh] *= complex(0.0, -2.0)
+        out[::nh] *= complex(0.0, -1.0)
+        return
+    z0 = z[0]
+    out[0] = complex(0.0, 0.0 - (z0.real + z0.imag))  # -i*X[0], +0.0 parts where zero
+    out[nh] = (z0.real + (-0.5j * c[nh]) * (2j * z0.imag)) * complex(0.0, -1.0)
+
+
 def _halfband_plus(x: np.ndarray) -> np.ndarray:
     """Plus-branch second form through the half-length inverse (even N);
-    the unpack's scratch is the spare row."""
+    the bins' scratch is the spare row."""
     nh = x.shape[0] // 2
     p = _table("plan", nh, plan)
     roots = _table("roots", 2 * nh, _half_roots)
     bins = np.empty(nh + 1, dtype=np.complex128)
-    _unpack(_packed_forward(x), bins, _spare_row(p), roots)
-    # multiplier_bins(n, Branch.PLUS) on bins 0..n/2 is -2i between DC and
-    # Nyquist and -i at both, each with a +0.0 real part (the literal -2j
-    # has -0.0, which would flip the sign of some zero products)
-    bins[1:nh] *= complex(0.0, -2.0)
-    bins[::nh] *= complex(0.0, -1.0)
+    _plus_bins(_packed_forward(x), bins, _spare_row(p), roots)
     return dft_inverse_halfband(p, bins)
 
 

@@ -51,16 +51,12 @@ def traced_peak(call, warm=True):
     return out, peak
 
 
-def rss_growth_mb(snippet, setup="", blas_threads=1):
-    """The growth of the peak resident set, in MB, across ``snippet`` run
-    after ``setup`` in a fresh interpreter, with this checkout's src first
-    on sys.path and OPENBLAS_NUM_THREADS=blas_threads.
-
-    Unlike :func:`traced_peak` it sees every allocation of the process,
-    BLAS's own buffers included.  The peak is VmHWM where /proc has it:
-    Linux carries a parent's peak over fork and exec into the child's
-    ru_maxrss, so under a large test process the child's ru_maxrss starts
-    above anything the snippet touches.  Elsewhere it is ru_maxrss."""
+def _fresh_process_delta(measure, snippet, setup, blas_threads, env=None):
+    """measure() after ``snippet`` less measure() before it, ``snippet`` run
+    after ``setup`` in a fresh interpreter with this checkout's src first
+    on sys.path, OPENBLAS_NUM_THREADS=blas_threads and the variables in
+    ``env``; ``measure`` names one of the script's counters, peak() or
+    faults()."""
     src = str(Path(dft.__file__).resolve().parents[1])
     script = textwrap.dedent(f"""
         import os, resource, sys
@@ -74,13 +70,36 @@ def rss_growth_mb(snippet, setup="", blas_threads=1):
             # ru_maxrss counts KiB on Linux, bytes on macOS
             return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (
                 1 if sys.platform == "darwin" else 1024)
-    """) + textwrap.dedent(setup) + "\nbefore = peak()\n" + textwrap.dedent(snippet) + \
-        "\nprint(peak() - before)\n"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+
+        def faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    """) + textwrap.dedent(setup) + f"\nbefore = {measure}()\n" + textwrap.dedent(snippet) + \
+        f"\nprint({measure}() - before)\n"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads), **(env or {})}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout) / 1e6
+    return int(proc.stdout)
+
+
+def rss_growth_mb(snippet, setup="", blas_threads=1, env=None):
+    """The growth of the peak resident set, in MB, across ``snippet`` run
+    after ``setup`` in a fresh interpreter (:func:`_fresh_process_delta`).
+
+    Unlike :func:`traced_peak` it sees every allocation of the process,
+    BLAS's own buffers included.  The peak is VmHWM where /proc has it:
+    Linux carries a parent's peak over fork and exec into the child's
+    ru_maxrss, so under a large test process the child's ru_maxrss starts
+    above anything the snippet touches.  Elsewhere it is ru_maxrss."""
+    return _fresh_process_delta("peak", snippet, setup, blas_threads, env) / 1e6
+
+
+def minor_faults(snippet, setup="", blas_threads=1):
+    """The minor page faults (ru_minflt) taken across ``snippet`` run after
+    ``setup`` in a fresh interpreter (:func:`_fresh_process_delta`): each
+    is a page the process touched for the first time, as an array in
+    freshly mapped memory does."""
+    return _fresh_process_delta("faults", snippet, setup, blas_threads)
 
 
 def table_arrays(table):

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import unit_roots_reference
-from conftest import rss_growth_mb, table_arrays, traced_peak
-from hxkit import dft
+from conftest import minor_faults, rss_growth_mb, table_arrays, traced_peak
+from hxkit import (Branch, Signal, analytic_signal, dft, hilbert_first, hilbert_second,
+                   multiplier_bins)
 from hxkit.dft import (
     BLUESTEIN,
     STOCKHAM,
@@ -316,8 +317,8 @@ class TestWorkspace:
     # twiddle pass per later stage they were 1.13x or less, numpy's 128 KiB
     # iterator buffer for its strided writes; with the twiddles folded into
     # the stage matrices they are 1.01x or less.  Real input is widened in
-    # the workspace's input row, which no forward stage writes; in a
-    # temporary, the peak was 2.06x the result.
+    # whichever of the result and the work row the first stage does not
+    # write; in a temporary, the peak was 2.06x the result.
     # The inverse lands its stages in the workspace and reads them back
     # reversed into the result, for an even (2^16, 4) and an odd (2^15, 3)
     # stage count
@@ -350,7 +351,8 @@ class TestWorkspace:
         # input, to either direction, is widened into the padded row before
         # the chirp product; widened inside that product, through numpy's
         # cast buffer, it peaked at 2.01x.  The half-band inverse of N = 2018
-        # runs a Bluestein half plan (1009) into out[0::2] and out[1::2]
+        # runs a Bluestein half plan (1009) into out[N/2:], moved to
+        # out[0::2], and into out[1::2]
         n = 3027
         p = plan(n)
         rng = np.random.default_rng(n)
@@ -402,6 +404,132 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors and not mismatches
+
+
+def _routes_reference(x):
+    """Every public route of real x through direct sums, keyed like
+    :func:`_routes`."""
+    n = x.shape[0]
+    X = dft_direct_reference(x)
+    h = dft_direct_reference(multiplier_bins(n) * X, "inverse").real
+    plus = dft_direct_reference(multiplier_bins(n, Branch.PLUS) * X, "inverse")
+    minus = dft_direct_reference(multiplier_bins(n, Branch.MINUS) * X, "inverse")
+    return {"first": h, "second-plus": plus, "second-minus": minus, "halfband-plus": plus,
+            "halfband-minus": minus, "analytic": x - 1j * h}
+
+
+def _routes(x):
+    f = Signal(x)
+    return {"first": hilbert_first(f).samples,
+            "second-plus": hilbert_second(f, Branch.PLUS).samples,
+            "second-minus": hilbert_second(f, Branch.MINUS).samples,
+            "halfband-plus": hilbert_second(f, Branch.PLUS, halfband=True).samples,
+            "halfband-minus": hilbert_second(f, Branch.MINUS, halfband=True).samples,
+            "analytic": analytic_signal(f).samples}
+
+
+@pytest.fixture(params=["plans", "small-radix plans"])
+def stage_sizes(request, monkeypatch, fresh_tables):
+    """Sizes whose plans run 1, 2, 3 and 4 stages: from every radix up to 32
+    (4 stages start at 25 000, too large for direct sums), or from the
+    radices up to 5 alone, where 4^k runs k radix-4 stages; either way with
+    a table cache of their own."""
+    if request.param == "plans":
+        return [16, 64, 1000]
+    monkeypatch.setattr(dft, "_RADICES", (5, 4, 3, 2))
+    return [4, 16, 64, 256]
+
+
+class TestBufferPlacement:
+    """Each transform's stages run between the size's one work row and an
+    array the call owns; inputs sit where the first stage does not write,
+    or are copied there once."""
+
+    def test_stage_sizes_run_one_to_four_stages(self, stage_sizes):
+        counts = [len(plan(n).stages_fwd) for n in stage_sizes]
+        assert counts == list(range(1, len(counts) + 1))
+
+    def test_forward_reads_contiguous_strided_and_float32_input(self, stage_sizes):
+        for n in [*stage_sizes, 1009]:
+            p = plan(n)
+            rng = np.random.default_rng(n)
+            z = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+            for x in (z[:n], z[::2], z.real[:n].astype(np.float32)):
+                before = x.copy()
+                assert rel_err(dft_forward(p, x), dft_direct_reference(x)) <= 1e-12, n
+                assert np.array_equal(x, before)
+
+    def test_inverse_reads_a_callers_array_and_the_spare_row(self, stage_sizes):
+        for n in [*stage_sizes, 1009]:
+            p = plan(n)
+            rng = np.random.default_rng(n)
+            X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            before = X.copy()
+            want = dft_inverse(p, X)
+            assert np.array_equal(X, before)
+            assert rel_err(want, dft_direct_reference(X, "inverse")) <= 1e-12, n
+            row = dft._spare_row(p)
+            row[...] = X
+            assert dft_inverse(p, row).tobytes() == want.tobytes()
+
+    def test_halfband_inverse_and_public_routes_at_each_stage_count(self, stage_sizes):
+        # the half plans of 2*nh: every stage count, and a Bluestein half
+        # plan (2897, N = 5794)
+        for nh in [*stage_sizes, 2897]:
+            rng = np.random.default_rng(nh)
+            v = rng.standard_normal(nh + 1) + 1j * rng.standard_normal(nh + 1)
+            spectrum = np.zeros(2 * nh, dtype=np.complex128)
+            spectrum[: nh + 1] = v
+            got = dft_inverse_halfband(plan(nh), v)
+            assert rel_err(got, dft_direct_reference(spectrum, "inverse")) <= 1e-12, nh
+            x = rng.standard_normal(2 * nh)
+            want = _routes_reference(x)
+            for route, out in _routes(x).items():
+                assert rel_err(out, want[route]) <= 1e-12, (nh, route)
+
+    # the spare row as either direction's input, and the result as an
+    # inverse's, at an odd (2^15, 3) and an even (2^16, 4) stage count.
+    # Where the first stage writes the input's buffer, the input is copied
+    # once into the other; a product whose operand overlaps its output
+    # would make numpy copy the operand, and over several row blocks the
+    # first would overwrite what the later ones read
+    @pytest.mark.parametrize("n", [1 << 15, 1 << 16])
+    def test_an_input_in_a_stage_buffer_costs_no_temporary(self, n):
+        p = plan(n)
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        def from_row(fn):
+            dft._spare_row(p)[...] = X
+            return fn(p, dft._spare_row(p))
+
+        def in_place():
+            Y = X.copy()
+            dft._inverse_into(p, Y, Y, 1.0 / n)
+            return Y
+
+        for call, want in ((lambda: from_row(dft_forward), dft_forward(p, X)),
+                           (lambda: from_row(dft_inverse), dft_inverse(p, X)),
+                           (in_place, dft_inverse(p, X))):
+            out, peak = traced_peak(call)
+            assert out.tobytes() == want.tobytes()
+            assert peak <= 1.1 * out.nbytes, peak / out.nbytes
+
+    def test_spreading_the_upper_half_moves_every_sample(self):
+        for nh in (1, 2, 3, 5, 8, 1000, 2897):
+            out = np.arange(2 * nh, dtype=np.complex128)
+            dft._spread_upper_half(out)
+            assert np.array_equal(out[0::2], np.arange(nh, 2 * nh)), nh
+
+    def test_a_stockham_size_keeps_one_row_and_a_pad_two(self, cold):
+        rng = np.random.default_rng(5)
+        for n, held in ((1 << 12, 1 << 12), (1009, plan(1009).pad_plan.size)):
+            p = plan(n)
+            dft_forward(p, rng.standard_normal(n))
+            dft_inverse(p, rng.standard_normal(n))
+            rows = 1 if p.strategy == STOCKHAM else 2
+            assert dft._WORKSPACE.buffers[held].shape == (rows, held)
+        assert len(dft._WORKSPACE.buffers) == 2
 
 
 class TestTableCache:
@@ -592,7 +720,7 @@ class TestStages:
         x, fwd, inv = _stage_case(n)
         assert rel_err(dft_forward(p, x), fwd) <= 1e-12
         assert rel_err(dft_inverse(p, x), inv) <= 1e-12
-        assert dft._workspace(p.pad_plan.size).shape == (2, p.pad_plan.size)
+        assert dft._WORKSPACE.buffers[p.pad_plan.size].shape == (2, p.pad_plan.size)
 
     def test_dft_matrix_is_read_only_and_shared(self):
         f = dft._dft_matrix(8)
@@ -854,3 +982,50 @@ def test_a_second_blas_thread_adds_no_copy_of_the_transform(n):
     """
     one, two = (rss_growth_mb("hilbert_first(f)", setup, threads) for threads in (1, 2))
     assert two - one <= 2.0, (one, two)
+
+
+@pytest.mark.parametrize("n", [1 << 20, pytest.param(1 << 22, marks=pytest.mark.slow)])
+def test_a_cold_first_form_keeps_one_work_row(n):
+    # a cold hilbert_first leaves its half plan and roots cached and holds
+    # one work row beside its spectrum or its result, never both; 4 MB of
+    # slack covers the interpreter and BLAS.  glibc's malloc raises its
+    # mmap threshold to the largest block freed so far and then keeps freed
+    # blocks for reuse, and what it keeps moved this reading by 8.4 MB
+    # between runs of one tree at 2^20; the threshold held at its initial
+    # 128 KiB returns every large block when it is freed, so the peak is
+    # the arrays alive at once.  So held, a second row of the half size
+    # grew it by 51.2 MB at 2^20 and 183.0 MB at 2^22 (one BLAS thread);
+    # one row grows it by 42.7 and 149.5 MB
+    setup = f"""
+        import numpy as np
+        from hxkit import Signal, hilbert_first
+        f = Signal(np.random.default_rng(1).standard_normal({n}))
+    """
+    tables = plan(n // 2).nbytes + dft._half_roots(n).nbytes
+    row, output = 16 * (n // 2), 8 * n
+    grown = rss_growth_mb("hilbert_first(f)", setup, env={"MALLOC_MMAP_THRESHOLD_": "131072"})
+    assert grown <= (tables + row + output) / 1e6 + 4.0, grown
+
+
+def test_warm_public_routes_take_no_page_faults():
+    # every warm call reuses its size's cached work row, and the allocator
+    # reuses the memory of the results it freed: no page is touched for
+    # the first time.  A work row allocated per call took 511-2017 minor
+    # faults per call at 2^18
+    setup = """
+        import numpy as np
+        from hxkit import Branch, Signal, analytic_signal, hilbert_first, hilbert_second
+        f = Signal(np.random.default_rng(1).standard_normal(1 << 18))
+        calls = [lambda: hilbert_first(f), lambda: hilbert_second(f, Branch.PLUS),
+                 lambda: hilbert_second(f, Branch.PLUS, halfband=True),
+                 lambda: analytic_signal(f)]
+        for _ in range(2):
+            for call in calls:
+                call()
+    """
+    snippet = """
+        for _ in range(8):
+            for call in calls:
+                call()
+    """
+    assert minor_faults(snippet, setup) <= 32

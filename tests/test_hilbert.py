@@ -391,29 +391,36 @@ class TestHilbertSecond:
         assert peak <= 1.55 * out.nbytes
 
     def test_halfband_bins_are_the_multiplier_table_product(self, monkeypatch):
-        # the route scales the unpacked bins 0..N/2 by the two values of the
-        # plus-branch table, -2i and -i, which must give the table product
-        # bit for bit; constant, alternating and zero signals give zero bins
-        # of either sign.  Peaks in [1/2, 1) leave the signals unscaled
+        # the route forms the unpacked bins 0..N/2 times the two values of
+        # the plus-branch table, -2i and -i, in one pass set, which must
+        # give the table product bit for bit.  Random and impulse signals
+        # take the folded form; constant, alternating and zero signals give
+        # zero bins of either sign, which take the unpack and the product
+        # themselves.  Peaks in [1/2, 1) leave the signals unscaled
         import hxkit.hilbert as hilbert
 
         n = 64
-        seen = []
-        inverse = hilbert.dft_inverse_halfband
+        seen, unpacked = [], []
+        inverse, unpack = hilbert.dft_inverse_halfband, hilbert._unpack
 
         def captured(p, bins):
             seen.append(bins.copy())
             return inverse(p, bins)
 
         monkeypatch.setattr(hilbert, "dft_inverse_halfband", captured)
+        monkeypatch.setattr(hilbert, "_unpack", lambda *a: unpacked.append(1) or unpack(*a))
         x = seeded(n, n)
-        for sig in (0.75 * x / np.abs(x).max(), np.full(n, 0.5), np.full(n, -0.5),
-                    0.5 * (-1.0) ** np.arange(n), np.zeros(n), np.eye(1, n, 3)[0] * 0.5):
+        for folded, sig in ((True, 0.75 * x / np.abs(x).max()),
+                            (False, np.full(n, 0.5)), (False, np.full(n, -0.5)),
+                            (False, 0.5 * (-1.0) ** np.arange(n)), (False, np.zeros(n)),
+                            (True, np.eye(1, n, 3)[0] * 0.5)):
+            unpacked.clear()
             hilbert_second(Signal(sig), Branch.PLUS, halfband=True)
+            assert unpacked == ([] if folded else [1])
             bins = np.empty(n // 2 + 1, dtype=np.complex128)
-            hilbert._unpack(hilbert._packed_forward(sig.copy()), bins,
-                            np.empty(n // 2, dtype=np.complex128),
-                            hilbert._table("roots", n, hilbert._half_roots))
+            unpack(hilbert._packed_forward(sig.copy()), bins,
+                   np.empty(n // 2, dtype=np.complex128),
+                   hilbert._table("roots", n, hilbert._half_roots))
             want = bins * multiplier_bins(n, Branch.PLUS)[: n // 2 + 1]
             assert seen[-1].tobytes() == want.tobytes()
 
