@@ -402,6 +402,13 @@ def _spare_row(p: DftPlan) -> np.ndarray:
     return _workspace(p.pad_plan.size, 2)[1][: p.size]
 
 
+def _inverse_input(p: DftPlan, partner: np.ndarray) -> np.ndarray:
+    """Where an inverse by ``p`` against ``partner`` (:func:`_transformed`)
+    reads its input uncopied: ``partner`` at an odd Stockham stage count,
+    whose first stage writes the work row, else the spare row."""
+    return partner if len(p.stages_fwd) % 2 else _spare_row(p)
+
+
 def _in_rows(p: DftPlan, x: np.ndarray) -> np.ndarray:
     """The stages of ``p`` run on ``x`` in its workspace's two rows: the
     first writes row 0, so ``x`` may be row 1, and the last lands in (and
@@ -556,14 +563,11 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
     v = v.astype(np.complex128, copy=False)
     out = np.empty(2 * nh, dtype=np.complex128)
     lo, hi, scale = out[:nh], out[nh:], 1.0 / (2 * nh)
-    # an odd stage count's first stage writes the work row (a Bluestein
-    # plan's stages_fwd is empty)
-    odd = len(plan_half.stages_fwd) % 2
-    x = hi if odd else _spare_row(plan_half)
+    x = _inverse_input(plan_half, hi)
     x[...] = v[:nh]
     x[0] += v[nh]
     _inverse_into(plan_half, x, hi, scale)
-    x = lo if odd else _spare_row(plan_half)
+    x = _inverse_input(plan_half, lo)
     np.multiply(v[:nh], roots[:nh], out=x)
     x[0] -= v[nh]  # the root at j = 0 is 1
     w = _transformed(plan_half, x, lo)

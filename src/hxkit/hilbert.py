@@ -36,10 +36,11 @@ multiplies bins 0..N/2 only, for :func:`hxkit.dft.dft_inverse_halfband`.
 Odd lengths, the log-image route and the equivalence report run one
 length-N forward -> multiply -> inverse pipeline; the odd first form
 raises :class:`~hxkit.errors.InvariantBreach` if the imaginary residue of
-its inverse exceeds 1e-12 of the peak.  Plans, the roots of unity of
-each even size (every even-N weight is read off them) and the odd-N
-multiplier come from the one byte-bounded table cache in :mod:`hxkit.dft`,
-and scratch rows from the engine's per-thread workspace, so a warmed call
+its inverse exceeds 1e-12 of the peak; its multiplier, 0 at DC and +/-i
+elsewhere, is applied as three scalars, with no table.  Plans and the
+roots of unity of each even size (every even-N weight is read off them)
+come from the one byte-bounded table cache in :mod:`hxkit.dft`, and
+scratch rows from the engine's per-thread workspace, so a warmed call
 allocates a few arrays of the output's size.  Each route takes its tables
 before it allocates its spectrum or touches the workspace, so a first
 call at a new size allocates little more than the tables and workspace it
@@ -69,6 +70,7 @@ import numpy as np
 
 from .dft import (
     _half_roots,
+    _inverse_input,
     _inverse_into,
     _spare_row,
     _table,
@@ -194,7 +196,8 @@ def _packed_forward(x: np.ndarray) -> np.ndarray:
 
 
 def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, c: np.ndarray) -> None:
-    """Bins 0..N/2 of the length-N spectrum from the packed transform z.
+    """Bins 0..N/2 of the length-N spectrum from the packed transform z,
+    in nine passes over N/2 bins, for the half-band route.
 
     With Z[N/2] := Z[0] and w = exp(-2*pi*i/N), X[k] = (Z[k] + conj
     Z[N/2-k])/2 - (i/2)*w^k*(Z[k] - conj Z[N/2-k]).  w^k is read off the
@@ -217,16 +220,35 @@ def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, c: np.ndarray) 
     out[nh] = z[0].real + (-0.5j * c[nh]) * (2j * z[0].imag)
 
 
-def _full_length(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The length-N pipeline: forward DFT, multiply by the table m, inverse.
+def _full_length(x: np.ndarray, weigh) -> np.ndarray:
+    """The length-N pipeline: forward DFT, multiply, inverse.
 
-    The product is formed in place in the spectrum and inverted into it,
-    so the call allocates only the spectrum."""
+    ``weigh(X, out)`` (:func:`_times` or :func:`_odd_first_weights`)
+    writes the spectrum X times the multiplier into ``out``, X or the spare
+    row (:func:`hxkit.dft._inverse_input`), which the inverse reads uncopied
+    on its way into X: the call allocates only the spectrum."""
     n = x.shape[0]
     p = _table("plan", n, plan)
     X = dft_forward(p, x)
-    _inverse_into(p, np.multiply(X, m, out=X), X, 1.0 / n)
+    weigh(X, product := _inverse_input(p, X))
+    _inverse_into(p, product, X, 1.0 / n)
     return X
+
+
+def _times(m: np.ndarray):
+    """Multiplication by the table m of N weights, for :func:`_full_length`."""
+    return lambda X, out: np.multiply(X, m, out=out)
+
+
+def _odd_first_weights(X: np.ndarray, out: np.ndarray) -> None:
+    """out = X * multiplier_bins(N) for odd N, with no table: 0 at DC, +i
+    on bins 1..(N-1)/2 and -i above.  Each scalar is the table's entry
+    (-1j has the -0.0 real part of the table's 1j*(-1.0)), so the product
+    has the table product's bits, signed zeros included."""
+    h = (X.shape[0] + 1) // 2
+    np.multiply(X[:1], 0j, out=out[:1])
+    np.multiply(X[1:h], 1j, out=out[1:h])
+    np.multiply(X[h:], -1j, out=out[h:])
 
 
 def _first_form_repack(Z: np.ndarray, out: np.ndarray, roots: np.ndarray) -> None:
@@ -278,7 +300,7 @@ def _first_form(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         roots = _table("roots", n, _half_roots)
         _first_form_repack(_packed_forward(x), zp := _spare_row(p), roots)
         return dft_inverse(p, zp).view(np.float64)
-    h = _full_length(x, _table("first bins", n, multiplier_bins))
+    h = _full_length(x, _odd_first_weights)
     if (residue := _peak(h.imag)) > 1e-12 * (peak := _peak(x)):
         raise InvariantBreach(f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {peak:.3e}")
     if out is None:
@@ -287,50 +309,18 @@ def _first_form(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _plus_bins(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, c: np.ndarray) -> None:
-    """Bins 0..N/2 of the plus-branch second form's spectrum from the packed
-    transform z: the unpacked bins (:func:`_unpack`) times
-    multiplier_bins(N, Branch.PLUS), which is -2i between DC and Nyquist
-    and -i at both, each with a +0.0 real part (the literal -2j has -0.0,
-    which would flip the sign of some zero products).
-
-    Between DC and Nyquist, with A = Z[k] and B = conj Z[N/2-k], the
-    product is -i*(A+B) - w^k*(A-B), formed as the conjugate of
-    i*conj(A+B) - conj(A-B)*c on the roots c = conj w^k in seven passes
-    and a scan for zeros (the unpack and the multiply take ten passes).
-    Every nonzero part has the bits of the unpack-then-multiply product,
-    whose halvings and doublings are exact; a zero part may differ in
-    sign, so a spectrum with one takes that product itself.  DC and
-    Nyquist are that product's values there.  ``scratch`` has at least
-    N/2 bins.
-    """
-    nh = z.shape[0]
-    q, e = scratch[1:nh], out[1:nh]
-    np.conjugate(z[1:], out=e)
-    np.add(e, z[:0:-1], out=q)  # conj(A+B)
-    np.subtract(e, z[:0:-1], out=e)  # conj(A-B)
-    e *= c[1:nh]
-    q *= 1j
-    np.subtract(q, e, out=q)
-    np.conjugate(q, out=e)
-    if not e.view(np.float64).all():
-        _unpack(z, out, scratch, c)
-        out[1:nh] *= complex(0.0, -2.0)
-        out[::nh] *= complex(0.0, -1.0)
-        return
-    z0 = z[0]
-    out[0] = complex(0.0, 0.0 - (z0.real + z0.imag))  # -i*X[0], +0.0 parts where zero
-    out[nh] = (z0.real + (-0.5j * c[nh]) * (2j * z0.imag)) * complex(0.0, -1.0)
-
-
 def _halfband_plus(x: np.ndarray) -> np.ndarray:
-    """Plus-branch second form through the half-length inverse (even N);
-    the bins' scratch is the spare row."""
+    """Plus-branch second form through the half-length inverse (even N):
+    the unpacked bins 0..N/2 (:func:`_unpack`, its scratch the spare row)
+    times the plus-branch table's -2i and -i in place, with its +0.0 real
+    parts (the literal -2j's -0.0 would flip some zero products' signs)."""
     nh = x.shape[0] // 2
     p = _table("plan", nh, plan)
     roots = _table("roots", 2 * nh, _half_roots)
     bins = np.empty(nh + 1, dtype=np.complex128)
-    _plus_bins(_packed_forward(x), bins, _spare_row(p), roots)
+    _unpack(_packed_forward(x), bins, _spare_row(p), roots)
+    bins[1:nh] *= complex(0.0, -2.0)
+    bins[::nh] *= complex(0.0, -1.0)
     return dft_inverse_halfband(p, bins)
 
 
@@ -453,7 +443,7 @@ def _log_image_route(x: np.ndarray, b: Branch) -> np.ndarray:
     sm = s[mask]
     m = np.full(n, -1j * b.sign)  # limit of the three-factor product as s -> 0
     m[mask] = (1.0 / np.pi) * (2j * np.pi * sm) * log_image(sm, b)
-    return _full_length(x, m)
+    return _full_length(x, _times(m))
 
 
 def hilbert_second_via_log_image(f: Signal, branch) -> Signal:
@@ -514,7 +504,7 @@ def corollary_equivalence_report(f: Signal, branch) -> EquivalenceReport:
     # products stay clear of underflow for tiny-amplitude inputs
     xs = x / peak
     # the public H2 is built as -H f -/+ i*f, so its residual would read 0
-    h2 = _full_length(xs, multiplier_bins(len(xs), b))
+    h2 = _full_length(xs, _times(multiplier_bins(len(xs), b)))
     h1 = _first_form(xs)  # a unit peak: inside _at_unit_scale's window
     r = h2 + h1  # what c*i*f must explain
     v = 1j * xs

@@ -36,6 +36,7 @@ from .hilbert import (
     Branch,
     Signal,
     _full_length,
+    _times,
     analytic_signal,
     corollary_equivalence_report,
     hilbert_first,
@@ -145,8 +146,8 @@ def _core_suite(seed: int) -> list:
     re_err = im_err = 0.0
     for n in (63, 64, 1024):
         f = Signal(_seeded(seed, n))
-        h1 = _full_length(f.samples, multiplier_bins(n)).real
-        h2 = _full_length(f.samples, multiplier_bins(n, Branch.PLUS))
+        h1 = _full_length(f.samples, _times(multiplier_bins(n))).real
+        h2 = _full_length(f.samples, _times(multiplier_bins(n, Branch.PLUS)))
         re_err = max(re_err, float(np.abs(hilbert_second(f, Branch.PLUS).samples.real + h1).max()))
         im_err = max(im_err, float(np.abs(h2.imag + f.samples).max()))
     sizes = "full-length complex pipeline as oracle, n in {63, 64, 1024}"
@@ -165,7 +166,7 @@ def _core_suite(seed: int) -> list:
     err = 0.0
     for n in (1024, 65536):
         f = Signal(_seeded(seed + 2, n))
-        full = _full_length(f.samples, multiplier_bins(n, Branch.PLUS))
+        full = _full_length(f.samples, _times(multiplier_bins(n, Branch.PLUS)))
         fast = hilbert_second(f, Branch.PLUS, halfband=True).samples
         err = max(err, float(np.abs(full - fast).max()))
     checks.append(_digits_check("halfband", err, 12.0,

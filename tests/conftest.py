@@ -82,7 +82,7 @@ def _fresh_process_delta(measure, snippet, setup, blas_threads, env=None):
     return int(proc.stdout)
 
 
-def rss_growth_mb(snippet, setup="", blas_threads=1, env=None):
+def rss_growth_mb(snippet, setup="", blas_threads=1):
     """The growth of the peak resident set, in MB, across ``snippet`` run
     after ``setup`` in a fresh interpreter (:func:`_fresh_process_delta`).
 
@@ -90,7 +90,15 @@ def rss_growth_mb(snippet, setup="", blas_threads=1, env=None):
     BLAS's own buffers included.  The peak is VmHWM where /proc has it:
     Linux carries a parent's peak over fork and exec into the child's
     ru_maxrss, so under a large test process the child's ru_maxrss starts
-    above anything the snippet touches.  Elsewhere it is ru_maxrss."""
+    above anything the snippet touches.  Elsewhere it is ru_maxrss.
+
+    glibc's mmap threshold is held at its initial 128 KiB
+    (MALLOC_MMAP_THRESHOLD_=131072), so every large block goes back to the
+    system when it is freed and the peak is the arrays alive at once.  By
+    default glibc raises the threshold to the largest block freed so far
+    and keeps freed blocks for reuse, and whether it kept one moved the
+    same reading by a whole 8.4 MB block between runs of one tree."""
+    env = {"MALLOC_MMAP_THRESHOLD_": "131072"}
     return _fresh_process_delta("peak", snippet, setup, blas_threads, env) / 1e6
 
 

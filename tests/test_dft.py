@@ -988,14 +988,10 @@ def test_a_second_blas_thread_adds_no_copy_of_the_transform(n):
 def test_a_cold_first_form_keeps_one_work_row(n):
     # a cold hilbert_first leaves its half plan and roots cached and holds
     # one work row beside its spectrum or its result, never both; 4 MB of
-    # slack covers the interpreter and BLAS.  glibc's malloc raises its
-    # mmap threshold to the largest block freed so far and then keeps freed
-    # blocks for reuse, and what it keeps moved this reading by 8.4 MB
-    # between runs of one tree at 2^20; the threshold held at its initial
-    # 128 KiB returns every large block when it is freed, so the peak is
-    # the arrays alive at once.  So held, a second row of the half size
-    # grew it by 51.2 MB at 2^20 and 183.0 MB at 2^22 (one BLAS thread);
-    # one row grows it by 42.7 and 149.5 MB
+    # slack covers the interpreter and BLAS.  With glibc's mmap threshold
+    # held (rss_growth_mb), a second row of the half size grew the peak by
+    # 51.2 MB at 2^20 and 183.0 MB at 2^22 (one BLAS thread); one row
+    # grows it by 42.7 and 149.5 MB
     setup = f"""
         import numpy as np
         from hxkit import Signal, hilbert_first
@@ -1003,7 +999,7 @@ def test_a_cold_first_form_keeps_one_work_row(n):
     """
     tables = plan(n // 2).nbytes + dft._half_roots(n).nbytes
     row, output = 16 * (n // 2), 8 * n
-    grown = rss_growth_mb("hilbert_first(f)", setup, env={"MALLOC_MMAP_THRESHOLD_": "131072"})
+    grown = rss_growth_mb("hilbert_first(f)", setup)
     assert grown <= (tables + row + output) / 1e6 + 4.0, grown
 
 

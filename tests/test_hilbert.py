@@ -107,9 +107,10 @@ class TestMultiplierValues:
         with pytest.raises(DomainError, match=repr(bad)):
             hilbert_second(Signal(seeded(1, 8)), bad)
 
-    def test_public_table_is_fresh_while_odd_first_form_uses_a_cached_one(self):
-        # the odd first form reads a cached read-only table; callers of the
-        # public function still get their own writable array
+    def test_public_table_is_fresh_and_the_odd_first_form_does_not_read_it(self):
+        # callers of the public function get their own writable array, and
+        # writing it does not change the odd first form, which weighs its
+        # spectrum by three scalars
         n = 3**5
         f = Signal(seeded(n, n))
         before = hilbert_first(f).samples
@@ -390,37 +391,32 @@ class TestHilbertSecond:
         out, peak = traced_peak(call)
         assert peak <= 1.55 * out.nbytes
 
-    def test_halfband_bins_are_the_multiplier_table_product(self, monkeypatch):
-        # the route forms the unpacked bins 0..N/2 times the two values of
-        # the plus-branch table, -2i and -i, in one pass set, which must
-        # give the table product bit for bit.  Random and impulse signals
-        # take the folded form; constant, alternating and zero signals give
-        # zero bins of either sign, which take the unpack and the product
-        # themselves.  Peaks in [1/2, 1) leave the signals unscaled
+    # 5794 has a Bluestein half plan, 2^15 a half plan of three stages
+    @pytest.mark.parametrize("n", [64, 5794, 1 << 15])
+    def test_halfband_bins_are_the_multiplier_table_product(self, monkeypatch, n):
+        # the route multiplies the unpacked bins 0..N/2 in place by the two
+        # values of the plus-branch table, -2i and -i, which must give the
+        # table product bit for bit.  Constant, alternating and zero
+        # signals give zero bins of either sign.  Peaks in [1/2, 1) leave
+        # the signals unscaled
         import hxkit.hilbert as hilbert
 
-        n = 64
-        seen, unpacked = [], []
-        inverse, unpack = hilbert.dft_inverse_halfband, hilbert._unpack
+        seen = []
+        inverse = hilbert.dft_inverse_halfband
 
         def captured(p, bins):
             seen.append(bins.copy())
             return inverse(p, bins)
 
         monkeypatch.setattr(hilbert, "dft_inverse_halfband", captured)
-        monkeypatch.setattr(hilbert, "_unpack", lambda *a: unpacked.append(1) or unpack(*a))
         x = seeded(n, n)
-        for folded, sig in ((True, 0.75 * x / np.abs(x).max()),
-                            (False, np.full(n, 0.5)), (False, np.full(n, -0.5)),
-                            (False, 0.5 * (-1.0) ** np.arange(n)), (False, np.zeros(n)),
-                            (True, np.eye(1, n, 3)[0] * 0.5)):
-            unpacked.clear()
+        for sig in (0.75 * x / np.abs(x).max(), np.full(n, 0.5), np.full(n, -0.5),
+                    0.5 * (-1.0) ** np.arange(n), np.zeros(n), np.eye(1, n, 3)[0] * 0.5):
             hilbert_second(Signal(sig), Branch.PLUS, halfband=True)
-            assert unpacked == ([] if folded else [1])
             bins = np.empty(n // 2 + 1, dtype=np.complex128)
-            unpack(hilbert._packed_forward(sig.copy()), bins,
-                   np.empty(n // 2, dtype=np.complex128),
-                   hilbert._table("roots", n, hilbert._half_roots))
+            hilbert._unpack(hilbert._packed_forward(sig.copy()), bins,
+                            np.empty(n // 2, dtype=np.complex128),
+                            hilbert._table("roots", n, hilbert._half_roots))
             want = bins * multiplier_bins(n, Branch.PLUS)[: n // 2 + 1]
             assert seen[-1].tobytes() == want.tobytes()
 
@@ -537,7 +533,7 @@ class TestTraceBoundary:
             hilbert_first(Signal(seeded(n, n)))
             assert set(fresh_tables) == {("plan", n // 2), ("roots", n)}
             hilbert_first(Signal(seeded(n + 1, n + 1)))
-            assert set(fresh_tables) == {("first bins", n + 1), ("plan", n + 1)}
+            assert set(fresh_tables) == {("plan", n + 1)}
 
     def test_warm_calls_at_2_20_build_no_plan(self, monkeypatch, fresh_tables):
         n = 1 << 20
@@ -554,8 +550,8 @@ class TestTraceBoundary:
 
 
 class TestTableCache:
-    """Plans, roots of unity and odd-n multipliers come from the one
-    byte-bounded table cache in dft, shared by every thread."""
+    """Plans and roots of unity come from the one byte-bounded table cache
+    in dft, shared by every thread."""
 
     def test_every_table_the_cache_holds_is_read_only(self, fresh_tables):
         for n in (64, 63, 5794, 5793):  # Stockham and Bluestein, even and odd
@@ -566,7 +562,7 @@ class TestTableCache:
             if n % 2 == 0:
                 hilbert_second(f, Branch.PLUS, halfband=True)
         kinds = {kind for kind, _ in fresh_tables}
-        assert kinds == {"plan", "roots", "first bins"}
+        assert kinds == {"plan", "roots"}
         for table in fresh_tables.values():
             assert all(not a.flags.writeable for a in table_arrays(table))
 
@@ -702,12 +698,47 @@ class TestPackedPath:
             hilbert_first(Signal(seeded(0, 63)))
         hilbert_first(Signal(seeded(0, 64)))  # real by construction: nothing to check
 
+    @pytest.mark.parametrize("n", [63, 3**7, 3**11, 5793, 100_003])
+    def test_odd_first_form_is_the_multiplier_table_product(self, n):
+        # the odd first form weighs its spectrum by three scalars in place
+        # of the table; its output keeps the table product's bits, signed
+        # zeros included (constant, alternating and impulse signals give
+        # zero parts)
+        dft = importlib.import_module("hxkit.dft")
+        p = dft.plan(n)
+        x = seeded(n, n)
+        for sig in (0.75 * x / np.abs(x).max(), np.full(n, 0.5), np.full(n, -0.5),
+                    0.5 * (-1.0) ** np.arange(n), np.zeros(n), np.eye(1, n, 3)[0] * 0.5):
+            want = dft.dft_inverse(p, dft.dft_forward(p, sig) * multiplier_bins(n)).real
+            assert hilbert_first(Signal(sig)).samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3**11, 3**7])  # four stages and three
+    def test_odd_first_form_inverse_reads_its_product_in_place(self, monkeypatch, n):
+        # the product is written where the inverse's first stage does not
+        # write: the work row at an even stage count, the spectrum at an
+        # odd one.  So only the forward copies its input, to widen the
+        # real samples; formed in the spectrum at every count, the product
+        # was copied into the row at 3^11
+        dft = importlib.import_module("hxkit.dft")
+        stockham, copies = dft._stockham, []
+
+        def spy(x, stages, out, partner):
+            first = out if len(stages) % 2 else partner  # the first stage's output
+            copies.append(x.dtype != np.complex128 or not x.flags.c_contiguous
+                          or np.may_share_memory(x, first))
+            return stockham(x, stages, out, partner)
+
+        monkeypatch.setattr(dft, "_stockham", spy)
+        hilbert_first(Signal(seeded(n, n)))
+        assert copies == [True, False]
+
     def test_warmed_odd_length_peak_memory(self):
         # the odd first form runs the length-N pipeline on 3^11 = 177147
         # samples.  Its spectrum costs 2x the output; with the real input
         # widened in a temporary, the inverse run into a new array and the
         # real part copied out, the peak was 7.19x the output, 5.19x
-        # without them, and 3.15x with the multiplier table cached
+        # without them, and 3.15x with the multiplier table cached; the
+        # scalar weights need no table
         n = 3**11
         f = Signal(seeded(n, n))
 
