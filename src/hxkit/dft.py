@@ -59,6 +59,7 @@ placed in every other sample of it: the exact length-N inverse, equal to
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -266,7 +267,7 @@ def plan(n: int) -> DftPlan:
 
 # (kind, n) -> table, least recently used first, shared by every thread
 _TABLE_BUDGET = 128 << 20  # each even route's half plan and roots up to n = 2^22
-_TABLES: dict[tuple[str, int], "np.ndarray | DftPlan"] = {}
+_TABLES: OrderedDict[tuple[str, int], "np.ndarray | DftPlan"] = OrderedDict()
 _TABLES_LOCK = threading.Lock()
 _table_bytes = 0  # the bytes _TABLES holds
 
@@ -283,8 +284,8 @@ def _table(kind: str, n: int, build):
     global _table_bytes
     key = (kind, n)
     with _TABLES_LOCK:
-        if (hit := _TABLES.pop(key, None)) is not None:
-            _TABLES[key] = hit
+        if (hit := _TABLES.get(key)) is not None:
+            _TABLES.move_to_end(key)  # relinks; a dict re-insert would compact its keys
             return hit
     table = build(n)
     if isinstance(table, np.ndarray):

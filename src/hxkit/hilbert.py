@@ -149,9 +149,6 @@ class Signal:
     def grid(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(len(self))
 
-    def with_samples(self, samples: np.ndarray) -> "Signal":
-        return Signal(samples, self.x0, self.dx)
-
 
 def bin_frequencies(n: int) -> np.ndarray:
     """Dimensionless bin frequencies: k/n below Nyquist, (k-n)/n above."""
@@ -351,6 +348,14 @@ def _at_unit_scale(x: np.ndarray, transform, reuse_copy: bool = False) -> np.nda
     return _scaled_back(transform(v, out=v) if reuse_copy else transform(v), e)
 
 
+def _unit_peak(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """values as contiguous float64 or complex128, scaled by 2^-e to a peak
+    in [1/2, 1), and e; the scale is exact."""
+    v = np.ascontiguousarray(values, dtype=np.result_type(values.dtype, np.float64))
+    e = _peak_exponent(parts := v.view(np.float64))
+    return np.ldexp(parts, -e).view(v.dtype), e
+
+
 def _scaled_back(out: np.ndarray, e: int) -> np.ndarray:
     """out * 2^e, in place and exact, for a contiguous float64 or complex128
     ``out``; a result past the float64 range raises
@@ -384,7 +389,7 @@ def _require_real(f: Signal, op: str) -> np.ndarray:
 
 
 def _result(f: Signal, samples: np.ndarray) -> Signal:
-    """f.with_samples(samples) without re-scanning a finite result."""
+    """``samples`` on f's grid, without re-scanning a finite result."""
     out = object.__new__(Signal)
     out.__dict__.update(samples=samples, x0=f.x0, dx=f.dx)
     return out
@@ -492,27 +497,24 @@ def corollary_equivalence_report(f: Signal, branch) -> EquivalenceReport:
     algebra puts c at -/+ 1, so ``paper_consistent`` is expected false; the
     report exists to surface that discrepancy, not to hide it.  H2 comes
     from the length-N pipeline and H from the first form behind
-    :func:`hilbert_first`, so the residual compares two pipelines.
+    :func:`hilbert_first`, so the residual compares two pipelines.  The fit
+    runs at a unit peak with numpy's sums, not BLAS, so c_fit is the same
+    on any BLAS thread count and for f times any power of 2.
     """
     b = _as_branch(branch)
     x = _require_real(f, "corollary_equivalence_report")
-    peak = _peak(x)
-    # l2 norm via peak scaling: squaring tiny samples directly would underflow
-    if peak == 0.0 or peak * float(np.linalg.norm(x / peak)) < 1e-300:
+    xs, e = _unit_peak(x)  # exact, so no sum underflows; only 0 has no fit
+    if (ss := float(np.sum(xs * xs))) == 0.0:
         raise DegenerateFitError("cannot fit against a zero signal")
-    # fit on the peak-normalized signal: c is scale invariant and the inner
-    # products stay clear of underflow for tiny-amplitude inputs
-    xs = x / peak
     # the public H2 is built as -H f -/+ i*f, so its residual would read 0
-    h2 = _full_length(xs, _times(multiplier_bins(len(xs), b)))
-    h1 = _first_form(xs)  # a unit peak: inside _at_unit_scale's window
-    r = h2 + h1  # what c*i*f must explain
-    v = 1j * xs
-    c = float(np.real(np.vdot(v, r)) / np.sum(xs * xs))  # vdot conjugates arg 1
-    residual = peak * np.abs(h2 - (-h1 + c * v)).max()
+    r = _full_length(xs, _times(multiplier_bins(len(xs), b)))
+    r += _first_form(xs)  # H2 + H, what c*i*f must explain
+    c = float(np.sum(xs * r.imag)) / ss
+    r.imag -= c * xs
+    residual = math.ldexp(float(np.abs(r).max()), e)
     return EquivalenceReport(
         c_fit=c,
-        residual_inf=float(residual),
+        residual_inf=residual,
         paper_consistent=bool(abs(abs(c) - 2.0) <= 1e-3),
         branch=b,
     )

@@ -39,7 +39,7 @@ from .errors import (
     NonUniformGridError,
     SizeMismatchError,
 )
-from .hilbert import Branch, _as_branch, _peak_exponent, _scaled_back
+from .hilbert import Branch, _as_branch, _scaled_back, _unit_peak
 
 __all__ = [
     "GridFunction",
@@ -142,14 +142,6 @@ def _eval_indices(f: GridFunction, x_eval) -> np.ndarray:
     if idx.shape[0] < 3 or np.any(np.diff(idx) <= 0):  # the nodes of the result
         raise DomainError("x_eval must name at least 3 grid nodes, strictly increasing")
     return idx
-
-
-def _unit_peak(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """values as contiguous float64 or complex128, scaled by 2^-e to a peak
-    in [1/2, 1), and e; the scale is exact."""
-    v = np.ascontiguousarray(values, dtype=np.result_type(values.dtype, np.float64))
-    e = _peak_exponent(parts := v.view(np.float64))
-    return np.ldexp(parts, -e).view(v.dtype), e
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:

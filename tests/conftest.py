@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hxkit import dft
 def fresh_tables(monkeypatch):
     """An empty per-size table cache for one test; the shared one is put
     back, with its byte total, when the test ends."""
-    monkeypatch.setattr(dft, "_TABLES", {})
+    monkeypatch.setattr(dft, "_TABLES", OrderedDict())
     monkeypatch.setattr(dft, "_table_bytes", 0)
     return dft._TABLES
 

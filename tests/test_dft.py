@@ -578,6 +578,21 @@ class TestTableCache:
         assert list(dft._TABLES) == [("a", 101)] and dft._table_bytes == 808
         assert built.count(("a", 101)) == 2
 
+    def test_a_hit_allocates_nothing(self, fresh_tables):
+        # a hit relinks its entry as the most recent; popping and
+        # re-inserting it in a plain dict rebuilt the dict's keys table
+        # every few hits (4.6 kB peak here), which a traced call could catch
+        for n in range(1, 41):
+            dft._table("a", n, np.zeros)
+
+        def hits():
+            for i in range(2000):
+                dft._table("a", 1 + i % 2, pytest.fail)  # a miss would build
+
+        _, peak = traced_peak(hits, warm=False)
+        assert len(dft._TABLES) == 40 and list(dft._TABLES)[-2:] == [("a", 1), ("a", 2)]
+        assert peak <= 512
+
     @pytest.mark.parametrize("n", [1, 1024, 1009])
     def test_plan_bytes_count_every_table_and_the_pad_plans(self, n):
         p = plan(n)
@@ -896,12 +911,13 @@ class TestRootTables:
 
 def test_outputs_do_not_depend_on_the_blas_thread_count():
     """The stage products run in BLAS zgemm; one BLAS thread gives the bits
-    of the default thread count.  (A different BLAS CPU kernel, chosen
-    with OPENBLAS_CORETYPE, may differ in the last ulp.)"""
+    of the default thread count, and so does the equivalence report's fit,
+    whose sums are numpy's.  (A different BLAS CPU kernel, chosen with
+    OPENBLAS_CORETYPE, may differ in the last ulp.)"""
     script = textwrap.dedent("""
         import hashlib
         import numpy as np
-        from hxkit import Signal, hilbert_first
+        from hxkit import Branch, Signal, corollary_equivalence_report, hilbert_first
         from hxkit.dft import dft_forward, plan
 
         for n in (1 << 17, 100_000, 3027):
@@ -910,6 +926,9 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
             z = x + 1j * rng.standard_normal(n)
             out = dft_forward(plan(n), z).tobytes() + hilbert_first(Signal(x)).samples.tobytes()
             print(hashlib.sha256(out).hexdigest())
+            for b in Branch:
+                rep = corollary_equivalence_report(Signal(x), b)
+                print(f"{b.name}:{rep.c_fit!r}:{rep.residual_inf!r}")
     """)
     src = str(Path(dft.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
