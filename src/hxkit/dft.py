@@ -17,10 +17,14 @@ Kronecker factor (Van Loan 1992, "Computational Frameworks for the FFT"):
 products of r-point DFT matrices with the data, run by BLAS zgemm.  The
 first stage takes the data transposed, as the four-step FFT does (Bailey
 1990, "FFTs in external or hierarchical memory"), so that its product
-lands in output order and its twiddle pass is one contiguous multiply;
+lands in output order and takes its twiddles in contiguous multiplies;
 as the four-step FFT bounds its working set, that product runs in row
-blocks of 512 KiB of operand, so that threaded OpenBLAS never takes
-resident memory of the whole transform's size for it.
+blocks of 512 KiB of operand, each multiplied by its twiddles while it is
+in cache, so that threaded OpenBLAS never takes resident memory of the
+whole transform's size for it.  For the same reason :func:`_chunks` splits
+the element-wise passes of :mod:`hxkit.hilbert`'s real-data pipeline into
+spans of at least 2^14 bins, 256 KiB of each complex operand, so that a
+span's operands stay in a 2 MiB L2 cache from one pass to the next.
 Each later stage folds its twiddles into its matrices, diag(twiddles) @
 F_r, as FFTW's twiddle codelets fold them into the butterfly (Frigo &
 Johnson 2005), and is one batched product with no twiddle pass.  The
@@ -326,6 +330,23 @@ def _workspace(n: int, rows: int = 1) -> np.ndarray:
 # KiB): the blocks of :func:`_stockham`, measured in README "Table memory"
 _BLOCK = 1 << 15
 
+# least bins per span of the real-data pipeline's element-wise passes (256
+# KiB of each complex operand), so that the few operands of a span stay in
+# a 2 MiB L2 cache from one pass to the next: :func:`_chunks`, measured in
+# README "Matrix stages"
+_CHUNK = 1 << 14
+
+
+def _chunks(lo: int, hi: int):
+    """[lo, hi) split evenly into the most consecutive spans (a, b) of at
+    least :data:`_CHUNK` bins; a range below 2*_CHUNK is one span.
+
+    No span of a longer range holds one bin: numpy multiplies a one-element
+    complex array in place through its scalar loop, which rounds some
+    products differently from the vector loop that a longer array takes."""
+    k = max(1, (hi - lo) // _CHUNK)
+    return [(lo + (hi - lo) * i // k, lo + (hi - lo) * (i + 1) // k) for i in range(k)]
+
 
 def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
               partner: np.ndarray) -> np.ndarray:
@@ -343,17 +364,18 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     stage (s = 1) computes y read as (m, r) = (x read as (r, m)).T @ F_r,
     with F_r the r-point DFT matrix (:func:`_dft_matrix`), straight into y,
     since F_r is symmetric and BLAS reads the transposed operand in place,
-    then multiplies y by its (m, r) twiddle table in place, one contiguous
-    pass; a single stage (m = 1) does the same with its (1, r) table of
-    ones.  That product runs in row blocks, m split evenly into the most
-    blocks of at least :data:`_BLOCK` values (one block below 2*_BLOCK),
-    as the four-step FFT bounds its working set (Bailey 1990).  On two
+    then multiplies y by its (m, r) twiddle table in place; a single stage
+    (m = 1) does the same with its (1, r) table of ones.  That product runs
+    in row blocks, m split evenly into the most blocks of at least
+    :data:`_BLOCK` values (one block below 2*_BLOCK), as the four-step FFT
+    bounds its working set (Bailey 1990), and each block takes its twiddle
+    rows right after its product, while it is still in cache.  On two
     OpenBLAS threads one product over all m rows raised the process's peak
     resident set by about the transform's size, in memory that BLAS keeps
     and tracemalloc does not see; a block raises it by at most its own
-    size.  Each output value is the same dot product however the rows are
-    blocked.  Each
-    later stage has its twiddles folded into its matrices, G[p] =
+    size.  Each output value is the same dot product and the same twiddle
+    multiply however the rows are blocked.  Each later stage has its
+    twiddles folded into its matrices, G[p] =
     diag(w_(r*m)^(j*p)) @ F_r (:func:`_stage_tables`), and runs as one
     batched product, y read as (m, r, s) = G @ (x read as (r, m, s),
     transposed to (m, r, s)), one zgemm per p with BLAS reading the rows of
@@ -382,8 +404,9 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     # m split evenly into the most blocks of at least _BLOCK values
     rows = -(-m // max(1, m * r // _BLOCK))
     for lo in range(0, m, rows):
-        np.matmul(xt[lo:lo + rows], f, out=t[lo:lo + rows])
-    t *= stages[0]
+        block = t[lo:lo + rows]
+        np.matmul(xt[lo:lo + rows], f, out=block)
+        block *= stages[0][lo:lo + rows]
     for i, g in enumerate(stages[1:], 1):
         m, r = g.shape[:2]
         x, y = y, buffers[i % 2]

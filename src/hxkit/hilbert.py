@@ -33,6 +33,11 @@ and conj Z[N/2-k], so they run as one O(N) pass with weights derived from
 :func:`multiplier_bins`, and the inverse of the result, read as pairs, is
 the real output by construction.  The half-band route unpacks and
 multiplies bins 0..N/2 only, for :func:`hxkit.dft.dft_inverse_halfband`.
+These passes, and the assembly of a complex output from H f and f, run
+span by span (:func:`hxkit.dft._chunks`; the repack takes each span of
+bins with its mirror N/2 - k), so that a span's operands stay in cache
+from one pass to the next; each bin takes the same float operations in
+the same order, so the span length changes no output bit.
 Odd lengths, the log-image route and the equivalence report run one
 length-N forward -> multiply -> inverse pipeline; the odd first form
 raises :class:`~hxkit.errors.InvariantBreach` if the imaginary residue of
@@ -69,6 +74,7 @@ from enum import Enum
 import numpy as np
 
 from .dft import (
+    _chunks,
     _half_roots,
     _inverse_input,
     _inverse_into,
@@ -192,29 +198,39 @@ def _packed_forward(x: np.ndarray) -> np.ndarray:
     return dft_forward(_table("plan", x.shape[0] // 2, plan), x.view(np.complex128))
 
 
-def _unpack(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, c: np.ndarray) -> None:
-    """Bins 0..N/2 of the length-N spectrum from the packed transform z,
-    in nine passes over N/2 bins, for the half-band route.
+def _plus_bins(z: np.ndarray, out: np.ndarray, scratch: np.ndarray, c: np.ndarray) -> None:
+    """Bins 0..N/2 of the plus-branch product, the length-N spectrum
+    unpacked from the packed transform z and multiplied by the plus-branch
+    table's -i (DC and Nyquist) and -2i (between), for the half-band route:
+    ten passes over each span of :func:`hxkit.dft._chunks`.
 
     With Z[N/2] := Z[0] and w = exp(-2*pi*i/N), X[k] = (Z[k] + conj
     Z[N/2-k])/2 - (i/2)*w^k*(Z[k] - conj Z[N/2-k]).  w^k is read off the
     roots c = conj w^k (:func:`hxkit.dft._half_roots`) as d*w^k =
-    conj(conj(d)*c), which is exact.  ``scratch`` has at least N/2 bins.
+    conj(conj(d)*c), which is exact.  The weights are written with +0.0
+    real parts (the literal -2j's -0.0 would flip some zero products'
+    signs), so each bin has the bits of the table product.  ``scratch``
+    has at least N/2 bins.
     """
     nh = z.shape[0]
-    b = scratch[:nh]
-    np.conjugate(z[:0:-1], out=b[1:])
-    b[0] = np.conj(z[0])
-    d = np.subtract(z, b, out=out[:nh])
-    np.conjugate(d, out=d)
-    d *= c[:nh]
-    np.conjugate(d, out=d)
-    d *= -0.5j
-    b += z
-    b *= 0.5
-    d += b
+    for a, e in _chunks(0, nh):
+        b, d = scratch[a:e], out[a:e]
+        j = a or 1  # bin 0 reads conj Z[N/2] = conj Z[0], set below
+        np.conjugate(z[nh - j:nh - e:-1], out=scratch[j:e])
+        if a == 0:
+            b[0] = np.conj(z[0])
+        np.subtract(z[a:e], b, out=d)
+        np.conjugate(d, out=d)
+        d *= c[a:e]
+        np.conjugate(d, out=d)
+        d *= -0.5j
+        b += z[a:e]
+        b *= 0.5
+        d += b
+        np.multiply(out[j:e], complex(0.0, -2.0), out=out[j:e])
     # A = Z[0], B = conj Z[0]; c[nh] = w^(N/2), both angles reduced to -pi
     out[nh] = z[0].real + (-0.5j * c[nh]) * (2j * z[0].imag)
+    np.multiply(out[::nh], complex(0.0, -1.0), out=out[::nh])
 
 
 def _full_length(x: np.ndarray, weigh) -> np.ndarray:
@@ -250,12 +266,12 @@ def _odd_first_weights(X: np.ndarray, out: np.ndarray) -> None:
 
 def _first_form_repack(Z: np.ndarray, out: np.ndarray, roots: np.ndarray) -> None:
     """out[k] = Z'[k], the repacked first-form product, in six real passes
-    on the roots c = exp(2*pi*i*k/N) (:func:`hxkit.dft._half_roots`); Z is
-    overwritten.
+    over each group of spans of :func:`_mirrored_chunks`, on the roots c =
+    exp(2*pi*i*k/N) (:func:`hxkit.dft._half_roots`); Z is overwritten.
 
     Unpacking bins 0..N/2 of the spectrum from the packed transform Z
     (X[k] = (A+B)/2 + t[k]*(A-B) with A = Z[k], B = conj Z[N/2-k] and
-    t[k] = -(i/2)*conj c[k], :func:`_unpack`), multiplying them by
+    t[k] = -(i/2)*conj c[k], :func:`_plus_bins`), multiplying them by
     m = :func:`multiplier_bins` and repacking the product with conj(t) are
     all linear in A and B, so the three passes collapse into
     Z'[k] = alpha*A + beta*B.  With |t| = 1/2 the weights are
@@ -266,18 +282,33 @@ def _first_form_repack(Z: np.ndarray, out: np.ndarray, roots: np.ndarray) -> Non
     0 < k < N/2, and Z'[0] = 0.  So Re Z'[k] = Im c*Im Z[k] - Re c*Re
     Z[N/2-k] and Im Z'[k] = Re c*Im Z[N/2-k] - Im c*Re Z[k].
     """
-    c = roots[1:-1]
-    cr, ci = c.real, c.imag
+    nh = Z.shape[0]
+    cr, ci = roots.real, roots.imag
     zr, zi = Z.real, Z.imag
-    re, im = out.real[1:], out.imag[1:]
-    np.multiply(cr, zr[:0:-1], out=re)
-    np.multiply(ci, zi[1:], out=im)
-    np.subtract(im, re, out=re)  # Im c*Im Z[k] - Re c*Re Z[N/2-k]
-    rev = zi[:0:-1]
-    np.multiply(rev, cr, out=rev)  # in place: Im Z[k] has been read
-    np.multiply(ci, zr[1:], out=im)
-    np.subtract(rev, im, out=im)  # Re c*Im Z[N/2-k] - Im c*Re Z[k]
+    re, im = out.real, out.imag
+    for spans in _mirrored_chunks(nh):
+        for a, b in spans:
+            np.multiply(cr[a:b], zr[nh - a:nh - b:-1], out=re[a:b])
+            np.multiply(ci[a:b], zi[a:b], out=im[a:b])
+            np.subtract(im[a:b], re[a:b], out=re[a:b])  # Im c*Im Z[k] - Re c*Re Z[N/2-k]
+        for a, b in spans:
+            rev = zi[nh - a:nh - b:-1]
+            np.multiply(rev, cr[a:b], out=rev)  # in place: the spans' Im Z[k] have been read
+            np.multiply(ci[a:b], zr[a:b], out=im[a:b])
+            np.subtract(rev, im[a:b], out=im[a:b])  # Re c*Im Z[N/2-k] - Im c*Re Z[k]
     out[0] = 0.0  # Z'[0] = 0
+
+
+def _mirrored_chunks(nh: int):
+    """Bins 1..N/2-1 as groups of spans closed under k -> N/2 - k: each
+    span (a, b) of the lower bins (:func:`hxkit.dft._chunks`) with its
+    mirror among the upper ones, or all of them as one span if
+    :func:`hxkit.dft._chunks` keeps them whole.  A pass over a group's spans reads Im Z at k and N/2 - k for
+    the same bins, so the repack may overwrite them in place."""
+    if len(whole := _chunks(1, nh)) == 1:
+        return [whole]
+    mid = nh // 2 + 1  # bins below mid, N/2 - k above (N/2 itself too, if even)
+    return [((a, b), (max(nh - b + 1, mid), nh - a + 1)) for a, b in _chunks(1, mid)]
 
 
 def _first_form(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -307,17 +338,14 @@ def _first_form(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _halfband_plus(x: np.ndarray) -> np.ndarray:
-    """Plus-branch second form through the half-length inverse (even N):
-    the unpacked bins 0..N/2 (:func:`_unpack`, its scratch the spare row)
-    times the plus-branch table's -2i and -i in place, with its +0.0 real
-    parts (the literal -2j's -0.0 would flip some zero products' signs)."""
+    """Plus-branch second form through the half-length inverse (even N) of
+    the plus-branch bins 0..N/2 (:func:`_plus_bins`, its scratch the spare
+    row)."""
     nh = x.shape[0] // 2
     p = _table("plan", nh, plan)
     roots = _table("roots", 2 * nh, _half_roots)
     bins = np.empty(nh + 1, dtype=np.complex128)
-    _unpack(_packed_forward(x), bins, _spare_row(p), roots)
-    bins[1:nh] *= complex(0.0, -2.0)
-    bins[::nh] *= complex(0.0, -1.0)
+    _plus_bins(_packed_forward(x), bins, _spare_row(p), roots)
     return dft_inverse_halfband(p, bins)
 
 
@@ -433,8 +461,10 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
         return _result(f, z if b is Branch.PLUS else np.conjugate(z, out=z))
     h = _at_unit_scale(x, _first_form, reuse_copy=True)
     z = np.empty(len(h), dtype=np.complex128)
-    np.negative(h, out=z.real)
-    np.multiply(x, -b.sign, out=z.imag)
+    zr, zi = z.real, z.imag
+    for a, e in _chunks(0, len(h)):  # both parts of a span while it is in cache
+        np.negative(h[a:e], out=zr[a:e])
+        np.multiply(x[a:e], -b.sign, out=zi[a:e])
     return _result(f, z)
 
 
@@ -474,8 +504,10 @@ def analytic_signal(f: Signal) -> Signal:
     x = _require_real(f, "analytic_signal")
     h = _at_unit_scale(x, _first_form, reuse_copy=True)
     z = np.empty(len(h), dtype=np.complex128)
-    z.real = x
-    np.subtract(0.0, h, out=z.imag)  # np.negative would turn a zero of H f into -0.0
+    zr, zi = z.real, z.imag
+    for a, e in _chunks(0, len(h)):  # both parts of a span while it is in cache
+        zr[a:e] = x[a:e]
+        np.subtract(0.0, h[a:e], out=zi[a:e])  # np.negative would turn a zero of H f into -0.0
     return _result(f, z)
 
 

@@ -8,6 +8,9 @@ asymptotic tail series for the Dawson function, plus an exact lattice sum
 transforms replace with half-length transforms for even N.
 :func:`unit_roots_reference` builds roots of unity through one complex exp,
 the reference the engine's table builder must match in every bit.
+:func:`unpacked_bins_reference` is the half-band route's unpack written
+as whole-array passes, the reference its chunked passes must match in
+every bit.
 """
 
 import math
@@ -91,3 +94,43 @@ def unit_roots_reference(e, n: int) -> np.ndarray:
     e = e % n
     e = np.where(2 * e > n, e - n, e)
     return np.exp((-2j * np.pi / n) * e)
+
+
+def unpacked_bins_reference(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Bins 0..N/2 of the length-N spectrum of real x from its packed
+    transform z (length N/2) and the roots c = exp(+2*pi*i*k/N), k <= N/2:
+    X[k] = (Z[k] + conj Z[N/2-k])/2 - (i/2)*w^k*(Z[k] - conj Z[N/2-k]),
+    with Z[N/2] := Z[0] and w^k*d formed as conj(conj(d)*c[k]), in the
+    engine's sequence of float operations, each over the whole array."""
+    nh = z.shape[0]
+    b = np.conjugate(np.concatenate((z[:1], z[:0:-1])))
+    d = np.conjugate(np.conjugate(z - b) * c[:nh]) * -0.5j
+    d += (b + z) * 0.5
+    # A = Z[0], B = conj Z[0]; c[nh] = w^(N/2), both angles reduced to -pi
+    top = z[0].real + (-0.5j * c[nh]) * (2j * z[0].imag)
+    return np.concatenate((d, [top]))
+
+
+def periodic_hilbert_kernel(n: int) -> np.ndarray:
+    """h = H delta_0, the length-n periodic kernel of the multiplier i*sgn(s)
+    with sgn = 0 at DC and Nyquist, in ``np.longdouble``.
+
+    With r the residue of k mod n nearest 0 (in (-n/2, n/2]):
+    even n: h[k] = -(2/n)*cot(pi*r/n) for odd r, 0 for even r;
+    odd n: h[k] = tan(pi*r/(2n))/n for even r, -cot(pi*r/(2n))/n for odd r.
+    Each angle is formed from the residue, within [-pi/2, pi/2], so the
+    trigonometry loses nothing to a large argument."""
+    k = np.arange(n)
+    r = np.where(2 * k > n, k - n, k)
+    odd = r % 2 == 1
+    r = r.astype(np.longdouble)
+    pi = 4 * np.arctan(np.longdouble(1))
+    h = np.zeros(n, dtype=np.longdouble)
+    if n % 2 == 0:
+        t = pi * r[odd] / n
+        h[odd] = -2 * np.cos(t) / (np.sin(t) * n)
+    else:
+        t = pi * r / (2 * n)
+        h[~odd] = np.tan(t[~odd]) / n
+        h[odd] = -np.cos(t[odd]) / (np.sin(t[odd]) * n)
+    return h

@@ -26,14 +26,25 @@ in each failure message:
   written into every other output sample, 0.91-0.95 of it.
 """
 
+import ctypes
 import math
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from _oracles import line_hilbert_gaussian
 
-from hxkit.bench import CSV_HEADER, BenchConfig, csv_rows, run_bench
+from hxkit.bench import (
+    CSV_HEADER,
+    BenchConfig,
+    _durations,
+    csv_rows,
+    generate_test_signal,
+    run_bench,
+    stats,
+)
 from hxkit.contour import (
     AnalyticTestFunction,
     JordanCurve,
@@ -67,6 +78,29 @@ def report(num: int, label: str, ok: bool, detail: str) -> None:
 def seeded(seed: int, n: int) -> np.ndarray:
     x = np.random.default_rng(seed).standard_normal(n)
     return x - x.mean()
+
+
+def blas_threads() -> str:
+    """The thread count OpenBLAS reports, from numpy's bundled library where
+    it has one, else the OPENBLAS_NUM_THREADS setting."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if (get := getattr(ctypes.CDLL(str(lib)), name, None)) is not None:
+                return str(get())
+    return f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"
+
+
+def bare_pair_ratio(n: int, trials: int, warmup: int) -> float:
+    """Mean time of two bare length-n/2 inverses over that of one length-n
+    inverse, timed in alternation as run_bench times the two forms: the
+    engine's floor for the half-length route, without its own passes."""
+    p, p_half = plan(n), plan(n // 2)
+    spectrum = dft_forward(p, generate_test_signal(n, 42).samples)
+    lo, hi = spectrum[: n // 2].copy(), spectrum[n // 2:].copy()
+    calls = (lambda: dft_inverse(p, spectrum),
+             lambda: (dft_inverse(p_half, lo), dft_inverse(p_half, hi)))
+    (full_s, pair_s), _ = _durations(calls, trials, warmup)
+    return stats(pair_s)[0] / stats(full_s)[0]
 
 
 def gaussian_grid(n: int = 4096, half: float = 8.0):
@@ -221,13 +255,16 @@ def test_criterion_6_benchmark_direction():
     ratio = second.mean_ms / first.mean_ms
     rows = csv_rows(records)
     columns_ok = rows[0] == "form,power,trials,percent_increase,mean_ms,stddev_ms"
+    floor = bare_pair_ratio(1 << 18, trials=100, warmup=10)
     elapsed = time.monotonic() - t0
     ok = ratio <= 0.87 and columns_ok and elapsed <= 180.0
     report(6, "benchmark-direction", ok,
            f"n=2^18, 100 trials, 10 warmups: second/first mean ratio {ratio:.3f} "
            f"(need <= 0.87, i.e. >= 15% faster); first {first.mean_ms:.3f}ms, "
            f"second {second.mean_ms:.3f}ms, percent_increase "
-           f"{second.percent_increase:+.1f}%; CSV header {'exact' if columns_ok else 'WRONG'}; "
+           f"{second.percent_increase:+.1f}%; two bare 2^17 inverses / one 2^18 "
+           f"inverse {floor:.3f} (the engine's floor, same protocol); BLAS threads "
+           f"{blas_threads()}; CSV header {'exact' if columns_ok else 'WRONG'}; "
            f"runtime {elapsed:.1f}s (<= 180s)")
     assert columns_ok
     assert CSV_HEADER == "form,power,trials,percent_increase,mean_ms,stddev_ms"

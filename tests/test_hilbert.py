@@ -15,10 +15,13 @@ from _oracles import (
     TWO_OVER_SQRT_PI,
     dawson,
     line_hilbert_gaussian,
+    periodic_hilbert_kernel,
     periodized_line_hilbert_gaussian,
     spectral_oracle,
+    unpacked_bins_reference,
 )
 from conftest import cached_bytes, table_arrays, traced_peak
+from hxkit.dft import dft_direct_reference
 from hxkit.errors import (
     DataError,
     DegenerateFitError,
@@ -391,9 +394,10 @@ class TestHilbertSecond:
     def test_halfband_bins_are_the_multiplier_table_product(self, monkeypatch, n):
         # the route multiplies the unpacked bins 0..N/2 in place by the two
         # values of the plus-branch table, -2i and -i, which must give the
-        # table product bit for bit.  Constant, alternating and zero
-        # signals give zero bins of either sign.  Peaks in [1/2, 1) leave
-        # the signals unscaled
+        # table product bit for bit, against an unpack written as
+        # whole-array passes.  Constant, alternating and zero signals give
+        # zero bins of either sign.  Peaks in [1/2, 1) leave the signals
+        # unscaled
         import hxkit.hilbert as hilbert
 
         seen = []
@@ -408,12 +412,68 @@ class TestHilbertSecond:
         for sig in (0.75 * x / np.abs(x).max(), np.full(n, 0.5), np.full(n, -0.5),
                     0.5 * (-1.0) ** np.arange(n), np.zeros(n), np.eye(1, n, 3)[0] * 0.5):
             hilbert_second(Signal(sig), Branch.PLUS, halfband=True)
-            bins = np.empty(n // 2 + 1, dtype=np.complex128)
-            hilbert._unpack(hilbert._packed_forward(sig.copy()), bins,
-                            np.empty(n // 2, dtype=np.complex128),
-                            hilbert._table("roots", n, hilbert._half_roots))
+            bins = unpacked_bins_reference(hilbert._packed_forward(sig.copy()),
+                                           hilbert._table("roots", n, hilbert._half_roots))
             want = bins * multiplier_bins(n, Branch.PLUS)[: n // 2 + 1]
             assert seen[-1].tobytes() == want.tobytes()
+
+
+class TestChunks:
+    """The even routes' element-wise passes (the first-form repack, the
+    half-band bins and the complex assembly) run in spans of dft._CHUNK
+    bins, each element with the same float operations in the same order,
+    so no output depends on the span length."""
+
+    ROUTES = {
+        "first": hilbert_first,
+        "analytic": analytic_signal,
+        "second-plus": lambda f: hilbert_second(f, Branch.PLUS),
+        "second-minus": lambda f: hilbert_second(f, Branch.MINUS),
+        "halfband-plus": lambda f: hilbert_second(f, Branch.PLUS, halfband=True),
+        "halfband-minus": lambda f: hilbert_second(f, Branch.MINUS, halfband=True),
+    }
+
+    @staticmethod
+    def signals(n):
+        impulse = np.zeros(n)
+        impulse[n // 3] = 1.0
+        return (seeded(n, n), np.full(n, 0.5), (-1.0) ** np.arange(n), np.zeros(n), impulse)
+
+    # 5794 has a Bluestein half plan, 2^15 a half plan of three stages;
+    # spans of 3, 5 and 1000 bins put span edges at many offsets, and at an
+    # even N/2 the last mirrored span is one bin shorter than its lower one
+    @pytest.mark.parametrize("n, spans", [(8, (3, 5)), (64, (3, 5)), (2018, (3, 5, 1000)),
+                                          (5794, (3, 5, 1000)),
+                                          pytest.param(1 << 15, (3, 5, 1000),
+                                                       marks=pytest.mark.slow),
+                                          (100_000, ()), (1 << 18, ())])
+    def test_span_length_changes_no_byte(self, monkeypatch, n, spans):
+        dft = importlib.import_module("hxkit.dft")
+        fs = [Signal(x) for x in self.signals(n)]
+
+        def outputs():
+            return [route(f).samples.tobytes() for route in self.ROUTES.values() for f in fs]
+
+        want = outputs()
+        for chunk in (1 << 40, *spans):  # one span, as whole-array passes
+            monkeypatch.setattr(dft, "_CHUNK", chunk)
+            assert outputs() == want, chunk
+
+    def test_spans_cover_the_range_and_mirror_the_repack_bins(self, monkeypatch):
+        import hxkit.hilbert as hilbert
+
+        dft = importlib.import_module("hxkit.dft")
+        monkeypatch.setattr(dft, "_CHUNK", 3)
+        assert dft._chunks(2, 12) == [(2, 5), (5, 8), (8, 12)]  # no one-bin span
+        assert dft._chunks(0, 5) == [(0, 5)]
+        for nh in (1, 2, 3, 4, 5, 8, 9, 16, 17):
+            groups = hilbert._mirrored_chunks(nh)
+            bins = [k for spans in groups for a, b in spans for k in range(a, b)]
+            assert sorted(bins) == list(range(1, nh)), nh  # each bin once
+            for spans in groups:
+                group = {k for a, b in spans for k in range(a, b)}
+                assert group == {nh - k for k in group}, (nh, spans)
+        assert hilbert._mirrored_chunks(4) == [[(1, 4)]]  # one chunk: one span
 
 
 class TestTraceBoundary:
@@ -630,6 +690,38 @@ class TestTableCache:
         # what the loop left allocated, less the workspace's rows: the
         # tables, and at most 1 MiB of Python objects
         assert held <= dft._TABLE_BUDGET + newest + (1 << 20), (held, dft._table_bytes)
+
+
+class TestImpulseOracle:
+    """H of a unit impulse at j is the periodic kernel shifted by j, a
+    closed form that costs O(N) at any size (:func:`periodic_hilbert_kernel`)."""
+
+    @pytest.mark.parametrize("n", [8, 7])
+    def test_kernel_is_the_inverse_transform_of_the_multiplier(self, n):
+        want = dft_direct_reference(multiplier_bins(n), "inverse")
+        assert np.abs(want.imag).max() <= 1e-15
+        assert np.abs(periodic_hilbert_kernel(n) - want.real).max() <= 1e-15
+
+    # relative L2 error <= C * eps * log2 N; the worst reading was 0.43 (2.58
+    # eps at N = 63, a Bluestein size), so C = 1 leaves a margin of 2.3x.
+    # Dividing every Bluestein chirp product by m*(1 - 32 eps) puts those
+    # sizes about 64 eps off, past this budget
+    C = 1.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="np.longdouble is float64 on this platform, so the kernel "
+                               "would be no more exact than the transform under test")
+    @pytest.mark.parametrize("n", [64, 1 << 15, 3**7, 1 << 18, 100_000,
+                                   63, 1009, 5793, 100_003])  # the last four Bluestein
+    def test_first_form_of_an_impulse_is_the_shifted_kernel(self, n):
+        h = periodic_hilbert_kernel(n)
+        budget = self.C * np.finfo(np.float64).eps * math.log2(n)
+        for j in (0, 1, n // 3, n - 1):
+            x = np.zeros(n)
+            x[j] = 1.0
+            err = hilbert_first(Signal(x)).samples - np.roll(h, j)
+            rel = float(np.sqrt(np.sum(err * err) / np.sum(h * h)))
+            assert rel <= budget, (j, rel / np.finfo(np.float64).eps)
 
 
 class TestPackedPath:
