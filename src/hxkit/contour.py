@@ -21,6 +21,7 @@ node, which carries the accumulated value, not a copy of the starting one.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DataError, DensityError, GeometryError, InvalidSizeError
+from .errors import DataError, DensityError, DomainError, GeometryError, InvalidSizeError
 
 __all__ = [
     "AnalyticTestFunction",
@@ -47,6 +48,14 @@ _INTERIOR_TOL = 1e-6
 _DISTANCE_RTOL = 1e-3
 
 
+def _require_finite(error, values: dict) -> None:
+    """Raise ``error`` naming the first of ``values`` (name -> number) that
+    is not finite."""
+    for name, v in values.items():
+        if not cmath.isfinite(complex(v)):
+            raise error(f"{name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class AnalyticTestFunction:
     """Entire test function with its exact derivative: polynomial (ascending
@@ -62,10 +71,13 @@ class AnalyticTestFunction:
         coeffs = tuple(complex(c) for c in coefficients)
         if not coeffs:
             raise DataError("a polynomial needs at least one coefficient")
+        _require_finite(DomainError, {f"polynomial coefficient {k}": c
+                                      for k, c in enumerate(coeffs)})
         return cls(kind="polynomial", coefficients=coeffs)
 
     @classmethod
     def exponential(cls, a, b) -> "AnalyticTestFunction":
+        _require_finite(DomainError, {"exponential scale a": a, "exponential rate b": b})
         return cls(kind="exponential", scale=complex(a), rate=complex(b))
 
     def value(self, z):
@@ -161,10 +173,15 @@ class JordanCurve:
 
     @classmethod
     def circle(cls, center, radius, nodes=4096, t0=0.0) -> "JordanCurve":
+        """Circle walked counterclockwise from the point at turn fraction
+        ``t0`` (0 is due east of the centre), one segment."""
+        _require_finite(GeometryError, {"circle centre": center, "circle radius": radius,
+                                        "start parameter t0": t0})
         if radius <= 0:
             raise GeometryError("radius must be positive")
         if nodes < _MIN_NODES:
             raise InvalidSizeError(f"need at least {_MIN_NODES} nodes")
+        t0 = t0 % 1.0  # as rectangle reduces it; a t0 in [0, 1) keeps its bits
         u, w = _panels(nodes)
         r = radius * np.exp(2j * math.pi * (t0 + u))
         seg = Segment(points=complex(center) + r, weights=2j * math.pi * r * w)
@@ -176,6 +193,8 @@ class JordanCurve:
         """Axis-aligned rectangle walked counterclockwise from the point at
         perimeter fraction ``t0`` (0 is the corner (x0, y0)), one segment
         per side, the side holding that point split in two."""
+        _require_finite(GeometryError, {"corner x0": x0, "corner y0": y0, "corner x1": x1,
+                                        "corner y1": y1, "start parameter t0": t0})
         if not (x0 < x1 and y0 < y1):
             raise GeometryError("need x0 < x1 and y0 < y1")
         if nodes < _MIN_NODES:
@@ -250,6 +269,7 @@ def cauchy_integral(f: AnalyticTestFunction, curve: JordanCurve, z) -> complex:
     which dividing the first by 2*pi*i would leave (Ioakimidis, Papadakis
     & Perdios 1991; Austin, Kravanja & Trefethen 2014).
     """
+    _require_finite(GeometryError, {"evaluation point z": z})
     z = complex(z)
     chain = curve.chain()
     w = chain - z
@@ -272,6 +292,7 @@ def log_kernel_line_integral(
     winding and distance verdicts.  The integral is one Gauss-Legendre
     weighted sum over the nodes between.
     """
+    _require_finite(GeometryError, {"evaluation point z": z})
     z = complex(z)
     if kernel not in ("z-zp", "zp-z"):
         raise DataError(f"kernel must be 'z-zp' or 'zp-z', got {kernel!r}")

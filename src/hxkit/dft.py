@@ -39,7 +39,10 @@ nothing but its result, and no second row outlives it.  Every other size
 takes the chirp-based (Bluestein) reduction to a cyclic convolution,
 padded to the smallest 5-smooth length >= 2n-1 and run on the same stages
 in two work rows of the pad's length, since no result of that length
-exists to borrow, so it too allocates only its result.  Both act on one
+exists to borrow, so it too allocates only its result.  Its final chirp
+product lands DFT(x) in natural order as well, in the result or, for an
+inverse, in the head of a pad row, so the one reversed 1/N read serves
+every plan (Bluestein 1970).  Both act on one
 1-d sequence; there is no batch axis.  Every table is built from roots of
 unity formed in place (:func:`_unit_roots`), and a Bluestein plan forms
 its padded chirp in its pad's rows, so a plan build allocates little
@@ -255,18 +258,12 @@ def plan(n: int) -> DftPlan:
     # the zero-padded conj(chirp) is built in the pad's row 1, which the
     # forward stages below never write, so the build holds no length-m
     # temporary
-    w = _workspace(m, 2)
-    b = w[1]
+    b = _workspace(m, 2)[1]
     np.conjugate(chirp, out=b[:n])
     b[n:m - n + 1] = 0.0
     np.conjugate(chirp[:0:-1], out=b[m - n + 1:])
-    return DftPlan(
-        size=n,
-        strategy=BLUESTEIN,
-        pad_plan=pad_plan,
-        chirp=chirp,
-        chirp_spectrum=_stockham(b, pad_plan.stages_fwd, np.empty(m, dtype=np.complex128), w[0]),
-    )
+    return DftPlan(size=n, strategy=BLUESTEIN, pad_plan=pad_plan, chirp=chirp,
+                   chirp_spectrum=dft_forward(pad_plan, b))
 
 
 # (kind, n) -> table, least recently used first, shared by every thread
@@ -415,22 +412,20 @@ def _stockham(x: np.ndarray, stages: tuple[np.ndarray, ...], out: np.ndarray,
     return out
 
 
-def _spare_row(p: DftPlan) -> np.ndarray:
+def _spare_row(p: DftPlan, partner: np.ndarray | None = None) -> np.ndarray:
     """p.size values where a transform by ``p`` may take its input: the one
     work row of a Stockham size, or row 1 of a Bluestein pad's two, which
-    the pad's transforms read before they write it.  In the Stockham row,
-    the input costs one copy when the first stage writes the row: at an
-    even stage count forward, an odd one inverse (:func:`_stockham`)."""
+    the pad's transforms read before they write it.  An inverse against
+    ``partner`` (:func:`_transformed`) reads it there uncopied, save at an
+    odd Stockham stage count, whose first stage writes the row: there the
+    input goes in ``partner`` itself.  With no partner, the Stockham row
+    costs one copy when the first stage writes it: at an even stage count
+    forward, an odd one inverse (:func:`_stockham`)."""
+    if partner is not None and len(p.stages_fwd) % 2:
+        return partner
     if p.strategy == STOCKHAM:
         return _workspace(p.size)[0]
     return _workspace(p.pad_plan.size, 2)[1][: p.size]
-
-
-def _inverse_input(p: DftPlan, partner: np.ndarray) -> np.ndarray:
-    """Where an inverse by ``p`` against ``partner`` (:func:`_transformed`)
-    reads its input uncopied: ``partner`` at an odd Stockham stage count,
-    whose first stage writes the work row, else the spare row."""
-    return partner if len(p.stages_fwd) % 2 else _spare_row(p)
 
 
 def _in_rows(p: DftPlan, x: np.ndarray) -> np.ndarray:
@@ -442,54 +437,50 @@ def _in_rows(p: DftPlan, x: np.ndarray) -> np.ndarray:
     return _stockham(x, p.stages_fwd, w[1 - odd], w[odd])
 
 
-def _bluestein(x: np.ndarray, p: DftPlan) -> np.ndarray:
-    """The padded cyclic convolution behind an arbitrary-length transform.
+def _bluestein(x: np.ndarray, p: DftPlan, out: np.ndarray | None = None) -> np.ndarray:
+    """DFT(x) of arbitrary length n by the chirp-based padded cyclic
+    convolution, in natural order, into ``out`` or, with no ``out``, into
+    the head of a pad work row; returns where it landed.
 
-    Returns F, the second of two forward padded transforms, from which
-    :func:`_chirp_read` reads the convolution as conv[j] = F[-j mod m] / m.
-    Both run in the pad's two rows, each on an input built in row 1
-    (:func:`_in_rows`), so F is a workspace row and the transform
-    allocates nothing but its result.
+    Two forward padded transforms run in the pad's two rows, each on an
+    input built in row 1 (:func:`_in_rows`).  The final chirp product
+    reads the second one, F, at bin k as F[-k mod m] / m * chirp[k]; bins
+    1..n-1 read F[m-n+1:], which lies past F[:n] since m >= 2n-1, so they
+    may land in F's own head.  So the transform allocates nothing but its
+    result.
     """
     n = p.size
-    pad = p.pad_plan
-    a = _workspace(pad.size, 2)[1]
+    m = p.pad_plan.size
+    a = _workspace(m, 2)[1]
     a[:n] = x  # a real x in the chirp product would widen in a cast buffer
     a[:n] *= p.chirp
     a[n:] = 0.0
-    A = np.multiply(_in_rows(pad, a), p.chirp_spectrum, out=a)
-    return _in_rows(pad, A)
-
-
-def _chirp_read(p: DftPlan, F: np.ndarray, out: np.ndarray, tail: np.ndarray) -> None:
-    """The final chirp product of a Bluestein transform off :func:`_bluestein`'s
-    F: bin 0 to ``out[0]``, bins 1..n-1 to ``tail`` (``out[1:]``, or
-    ``out[:0:-1]`` for the inverse)."""
-    m = p.pad_plan.size
+    A = np.multiply(_in_rows(p.pad_plan, a), p.chirp_spectrum, out=a)
+    F = _in_rows(p.pad_plan, A)
+    if out is None:
+        out = F[:n]
     out[0] = F[0] / m  # chirp[0] = 1
-    np.divide(p.chirp[1:], m, out=tail)
-    np.multiply(F[:m - p.size:-1], tail, out=tail)
+    np.divide(p.chirp[1:], m, out=out[1:])
+    np.multiply(F[:m - n:-1], out[1:], out=out[1:])
+    return out
 
 
 def _transformed(p: DftPlan, X: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """DFT(X) as an inverse reads it back: a Stockham transform's stages run
-    between the work row and ``partner`` (an array of p.size values that
-    the call owns) and land in the row, which is returned; a Bluestein
-    transform returns :func:`_bluestein`'s F.  ``X`` may be ``partner``."""
+    """DFT(X) in natural order in a work row, which is returned, for an
+    inverse to read back: a Stockham transform's stages run between the
+    row and ``partner`` (an array of p.size values that the call owns) and
+    land in the row; a Bluestein transform lands in its pad's rows
+    (:func:`_bluestein`).  ``X`` may be ``partner``."""
     if p.strategy == STOCKHAM:
         return _stockham(X, p.stages_fwd, _workspace(p.size)[0], partner)
     return _bluestein(X, p)
 
 
-def _inverse_read(p: DftPlan, w: np.ndarray, out: np.ndarray, scale: float) -> None:
-    """out[k] = scale * DFT(X)[-k mod n], read reversed off :func:`_transformed`'s
+def _inverse_read(w: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """out[k] = scale * w[-k mod n], read reversed off :func:`_transformed`'s
     ``w``; ``out`` may be any view that ``w`` does not overlap."""
-    if p.strategy == STOCKHAM:
-        out[0] = w[0] * scale
-        np.multiply(w[:0:-1], scale, out=out[1:])
-    else:
-        _chirp_read(p, w, out, out[:0:-1])
-        out *= scale
+    out[0] = w[0] * scale
+    np.multiply(w[:0:-1], scale, out=out[1:])
 
 
 def _inverse_into(p: DftPlan, X: np.ndarray, out: np.ndarray, scale: float) -> None:
@@ -498,7 +489,7 @@ def _inverse_into(p: DftPlan, X: np.ndarray, out: np.ndarray, scale: float) -> N
     may be ``out`` itself or the spare row; a Stockham inverse copies it
     once where the first stage writes it: ``out`` at an even stage count,
     the row at an odd one."""
-    _inverse_read(p, _transformed(p, X, out), out, scale)
+    _inverse_read(_transformed(p, X, out), out, scale)
 
 
 def _as_vector(x, n: int) -> np.ndarray:
@@ -515,10 +506,8 @@ def dft_forward(p: DftPlan, x) -> np.ndarray:
     x = _as_vector(x, p.size)
     out = np.empty(p.size, dtype=np.complex128)
     if p.strategy == STOCKHAM:
-        _stockham(x, p.stages_fwd, out, _workspace(p.size)[0])
-    else:
-        _chirp_read(p, _bluestein(x, p), out, out[1:])
-    return out
+        return _stockham(x, p.stages_fwd, out, _workspace(p.size)[0])
+    return _bluestein(x, p, out)
 
 
 def dft_inverse(p: DftPlan, X) -> np.ndarray:
@@ -587,16 +576,16 @@ def dft_inverse_halfband(plan_half: DftPlan, V) -> np.ndarray:
     v = v.astype(np.complex128, copy=False)
     out = np.empty(2 * nh, dtype=np.complex128)
     lo, hi, scale = out[:nh], out[nh:], 1.0 / (2 * nh)
-    x = _inverse_input(plan_half, hi)
+    x = _spare_row(plan_half, hi)
     x[...] = v[:nh]
     x[0] += v[nh]
     _inverse_into(plan_half, x, hi, scale)
-    x = _inverse_input(plan_half, lo)
+    x = _spare_row(plan_half, lo)
     np.multiply(v[:nh], roots[:nh], out=x)
     x[0] -= v[nh]  # the root at j = 0 is 1
     w = _transformed(plan_half, x, lo)
     _spread_upper_half(out)
-    _inverse_read(plan_half, w, out[1::2], scale)
+    _inverse_read(w, out[1::2], scale)
     return out
 
 

@@ -76,7 +76,6 @@ import numpy as np
 from .dft import (
     _chunks,
     _half_roots,
-    _inverse_input,
     _inverse_into,
     _spare_row,
     _table,
@@ -238,12 +237,12 @@ def _full_length(x: np.ndarray, weigh) -> np.ndarray:
 
     ``weigh(X, out)`` (:func:`_times` or :func:`_odd_first_weights`)
     writes the spectrum X times the multiplier into ``out``, X or the spare
-    row (:func:`hxkit.dft._inverse_input`), which the inverse reads uncopied
+    row (:func:`hxkit.dft._spare_row`), which the inverse reads uncopied
     on its way into X: the call allocates only the spectrum."""
     n = x.shape[0]
     p = _table("plan", n, plan)
     X = dft_forward(p, x)
-    weigh(X, product := _inverse_input(p, X))
+    weigh(X, product := _spare_row(p, X))
     _inverse_into(p, product, X, 1.0 / n)
     return X
 

@@ -10,7 +10,9 @@ transforms replace with half-length transforms for even N.
 the reference the engine's table builder must match in every bit.
 :func:`unpacked_bins_reference` is the half-band route's unpack written
 as whole-array passes, the reference its chunked passes must match in
-every bit.
+every bit.  :func:`periodic_hilbert_kernel` and :func:`geometric_dft` are
+closed forms in ``np.longdouble`` that cost O(N) at any size: the
+transform of an impulse and of a geometric sequence.
 """
 
 import math
@@ -134,3 +136,34 @@ def periodic_hilbert_kernel(n: int) -> np.ndarray:
         h[~odd] = np.tan(t[~odd]) / n
         h[odd] = -np.cos(t[odd]) / (np.sin(t[odd]) * n)
     return h
+
+
+def _longdouble_powers(a: np.clongdouble, e: np.ndarray) -> np.ndarray:
+    """a**e for an array of non-negative integers e, by binary powering in
+    ``np.clongdouble``: at most 2*log2(max e) roundings of 2^-64 each."""
+    out = np.ones(e.shape, dtype=np.clongdouble)
+    while e.any():
+        out = np.where(e & 1, out * a, out)
+        a = a * a
+        e = e >> 1
+    return out
+
+
+def geometric_dft(a: complex, n: int, direction: str = "forward"):
+    """x[k] = a^k, k < n, rounded to double, and the exact transform of the
+    unrounded sequence in ``np.clongdouble``: forward X[k] = (1 - a^n) /
+    (1 - a*w^k), inverse (1 - a^n) / (n*(1 - a*w^-k)), w = exp(-2*pi*i/n).
+
+    ``a`` is a double, held exactly in long double; its powers are formed
+    in long double before they are rounded to the double input.  Each w^k
+    is formed from the residue of k mod n nearest 0, so its angle lies
+    within [-pi, pi]."""
+    a = np.clongdouble(complex(a))
+    powers = _longdouble_powers(a, np.arange(n + 1))
+    k = np.arange(n)
+    r = np.where(2 * k > n, k - n, k).astype(np.longdouble)
+    t = 8 * np.arctan(np.longdouble(1)) * r / n
+    sign = -1 if direction == "forward" else 1
+    w = np.cos(t) + sign * 1j * np.sin(t)
+    X = (1 - powers[n]) / (1 - a * w)
+    return powers[:n].astype(np.complex128), X if direction == "forward" else X / n

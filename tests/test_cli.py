@@ -314,6 +314,26 @@ class TestContour:
     def test_needs_a_function(self, capsys):
         assert main(["contour", "--point", "0,0"]) == 2
 
+    @pytest.mark.parametrize("curve", ["circle:0,0,2", "rect:-2,-2,2,2"])
+    @pytest.mark.parametrize("start", ["nan", "inf"])
+    def test_non_finite_start_is_a_usage_error(self, capsys, curve, start):
+        assert main(["contour", "--poly", "1", "--curve", curve, "--start", start,
+                     "--point", "0.1,0"]) == 2
+        assert "t0 must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("function, name", [
+        (["--exp", "1,inf"], "exponential rate b"),
+        (["--poly", "nan,1"], "polynomial coefficient 0"),
+    ])
+    def test_non_finite_function_is_a_usage_error(self, capsys, function, name):
+        assert main(["contour", *function, "--point", "0.1,0"]) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["nan,0", "inf,0"])
+    def test_non_finite_point_is_a_usage_error(self, capsys, point):
+        assert main(["contour", "--poly", "1", "--point", point]) == 2
+        assert "evaluation point z must be finite" in capsys.readouterr().err
+
 
 def _child_env():
     """This environment with the tested checkout's src/ first on PYTHONPATH."""

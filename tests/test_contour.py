@@ -14,7 +14,7 @@ from hxkit.contour import (
     log_kernel_line_integral,
     unwrap_argument,
 )
-from hxkit.errors import DataError, DensityError, GeometryError, InvalidSizeError
+from hxkit.errors import DataError, DensityError, DomainError, GeometryError, InvalidSizeError
 
 POLY = AnalyticTestFunction.polynomial([1, -2, 0, 1])  # 1 - 2z + z^3
 Z_IN = 0.3 + 0.2j
@@ -37,6 +37,16 @@ class TestAnalyticTestFunction:
         z = 0.3 + 0.1j
         assert f.value(z) == pytest.approx(2.0 * np.exp(-1j * z), abs=1e-15)
         assert f.derivative(z) == pytest.approx(-2j * np.exp(-1j * z), abs=1e-15)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: AnalyticTestFunction.polynomial([math.nan, 1]), "coefficient 0"),
+        (lambda: AnalyticTestFunction.polynomial([1, complex(0, math.inf)]), "coefficient 1"),
+        (lambda: AnalyticTestFunction.exponential(1, math.inf), "rate b"),
+        (lambda: AnalyticTestFunction.exponential(math.nan, 1), "scale a"),
+    ])
+    def test_non_finite_coefficients_are_domain_errors(self, build, name):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            build()
 
     def test_empty_polynomial_rejected(self):
         with pytest.raises(DataError):
@@ -109,6 +119,30 @@ class TestJordanCurve:
             c = JordanCurve.rectangle(-2, -2, 2, 2, 4096, t0=t0)
             assert abs((len(c.chain()) - 1) - 4096) <= 8
 
+    def test_circle_start_is_reduced_mod_one_bit_for_bit(self):
+        # 1e6 + 0.375 is exact in double, and t0 % 1.0 gives back 0.375
+        a = JordanCurve.circle(0, 2.0, 4096, t0=0.375)
+        b = JordanCurve.circle(0, 2.0, 4096, t0=1e6 + 0.375)
+        assert a.start == b.start
+        assert a.chain().tobytes() == b.chain().tobytes()
+        assert a.segments[0].weights.tobytes() == b.segments[0].weights.tobytes()
+        assert cauchy_integral(POLY, a, Z_IN) == cauchy_integral(POLY, b, Z_IN)
+        assert log_kernel_line_integral(POLY, a, Z_IN) == log_kernel_line_integral(POLY, b, Z_IN)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: JordanCurve.circle(0, 2.0, 256, t0=math.nan), "t0"),
+        (lambda: JordanCurve.circle(0, 2.0, 256, t0=math.inf), "t0"),
+        (lambda: JordanCurve.circle(complex(0, math.nan), 2.0, 256), "centre"),
+        (lambda: JordanCurve.circle(0, math.inf, 256), "radius"),
+        (lambda: JordanCurve.rectangle(-2, -2, 2, 2, 256, t0=math.nan), "t0"),
+        (lambda: JordanCurve.rectangle(-2, -2, 2, 2, 256, t0=-math.inf), "t0"),
+        (lambda: JordanCurve.rectangle(-2, -2, math.inf, 2, 256), "x1"),
+        (lambda: JordanCurve.rectangle(-2, -math.inf, 2, 2, 256), "y0"),
+    ])
+    def test_non_finite_parameters_are_geometry_errors(self, build, name):
+        with pytest.raises(GeometryError, match=f"{name} must be finite"):
+            build()
+
 
 class TestWinding:
     def test_interior_point_winds_once(self):
@@ -154,6 +188,11 @@ class TestCauchyIntegral:
     def test_point_near_curve_rejected(self):
         with pytest.raises(GeometryError):
             cauchy_integral(POLY, JordanCurve.circle(0, 2.0, 256), 1.9999)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(math.inf, 0), complex(0, -math.inf)])
+    def test_non_finite_point_rejected(self, z):
+        with pytest.raises(GeometryError, match="point z must be finite"):
+            cauchy_integral(POLY, JordanCurve.circle(0, 2.0, 256), z)
 
 
 class TestLogKernelLineIntegral:
@@ -217,6 +256,11 @@ class TestLogKernelLineIntegral:
         res = log_kernel_line_integral(POLY, rotated, Z_IN)
         pred = POLY.value(Z_IN) - POLY.value(-2.0)
         assert abs(res.value - pred) < 1e-12
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(math.inf, 0), complex(0, -math.inf)])
+    def test_non_finite_point_rejected(self, z):
+        with pytest.raises(GeometryError, match="point z must be finite"):
+            log_kernel_line_integral(POLY, JordanCurve.circle(0, 2.0, 256), z)
 
     def test_exterior_point_rejected(self):
         with pytest.raises(GeometryError):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import unit_roots_reference
+from _oracles import geometric_dft, unit_roots_reference
 from conftest import minor_faults, rss_growth_mb, table_arrays, traced_peak
 from hxkit import (Branch, Signal, analytic_signal, dft, hilbert_first, hilbert_second,
                    multiplier_bins)
@@ -280,8 +280,9 @@ class TestHalfband:
 
     # each half is written straight into out[0::2] or out[1::2] and gives
     # the bits of its own length-N/2 inverse, halved (exactly), for half
-    # plans with 3 (1000) and 4 (2^16) stages and a Bluestein one (1009)
-    @pytest.mark.parametrize("nh", [1000, 2**16, 1009])
+    # plans with 3 (1000) and 4 (2^16) stages and Bluestein ones whose pads
+    # have an even (127, pad 256 = [16, 16]) and an odd (1009) stage count
+    @pytest.mark.parametrize("nh", [1000, 2**16, 127, 1009])
     def test_halves_are_the_half_length_inverses_bit_for_bit(self, nh):
         rng = np.random.default_rng(nh)
         v = rng.standard_normal(nh + 1) + 1j * rng.standard_normal(nh + 1)
@@ -772,8 +773,9 @@ class TestStages:
 
     # the inverse is the forward transform read at -k mod n, times 1/n,
     # over one stage (16), an odd (1000, 3) and an even (2^16, 4) stage
-    # count, and Bluestein (1009)
-    @pytest.mark.parametrize("n", [16, 1000, 2**16, 1009])
+    # count, and Bluestein at an even (127, pad 256 = [16, 16], F in the
+    # input's row 1) and an odd (1009, pad 2025 = [15, 15, 9]) pad stage count
+    @pytest.mark.parametrize("n", [16, 1000, 2**16, 127, 1009])
     def test_inverse_is_the_reversed_forward_over_n_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -782,8 +784,9 @@ class TestStages:
         assert dft_inverse(p, X).tobytes() == want.tobytes()
 
     # one stage (16), an odd (1000, 3) and an even (2^16, 4) stage count,
-    # and Bluestein (1009), each from a strided, reversed and real view
-    @pytest.mark.parametrize("n", [16, 1000, 2**16, 1009])
+    # and Bluestein at an even (127) and an odd (1009) pad stage count,
+    # each from a strided, reversed and real view
+    @pytest.mark.parametrize("n", [16, 1000, 2**16, 127, 1009])
     def test_strided_input_gives_the_bits_of_its_contiguous_copy(self, n):
         rng = np.random.default_rng(n)
         z = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
@@ -838,6 +841,39 @@ def _tiled_stockham(tile):
         return out
 
     return stockham
+
+
+class TestGeometricOracle:
+    """x[k] = a^k has the rational spectrum (1 - a^N)/(1 - a*w^k), a closed
+    form that costs O(N) at any size (:func:`geometric_dft`)."""
+
+    A = 0.9995 * np.exp(0.3j)
+
+    @pytest.mark.parametrize("n", [8, 7])
+    def test_oracle_is_the_direct_sum(self, n):
+        for direction in ("forward", "inverse"):
+            x, want = geometric_dft(self.A, n, direction)
+            assert rel_err(dft_direct_reference(x, direction), want.astype(np.complex128)) <= 1e-15
+
+    # relative L2 error <= C * eps * log2 N; the worst reading was 0.35
+    # (3.53 eps, dft_inverse at N = 1009), so C = 1 leaves a margin of 2.8x.
+    # Dividing every Bluestein chirp product by m*(1 - 32 eps) puts each
+    # transform at those sizes about 32 eps off, past this budget
+    C = 1.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="np.longdouble is float64 on this platform, so the spectrum "
+                               "would be no more exact than the transform under test")
+    @pytest.mark.parametrize("n", [64, 4096, 100_000,  # Stockham
+                                   127, 1009, 5793, 100_003])  # Bluestein
+    def test_forward_and_inverse_meet_the_closed_form(self, n):
+        p = plan(n)
+        budget = self.C * np.finfo(np.float64).eps * math.log2(n)
+        for direction, fn in (("forward", dft_forward), ("inverse", dft_inverse)):
+            x, want = geometric_dft(self.A, n, direction)
+            err = fn(p, x) - want
+            rel = float(np.sqrt(np.sum(np.abs(err) ** 2) / np.sum(np.abs(want) ** 2)))
+            assert rel <= budget, (direction, rel / np.finfo(np.float64).eps)
 
 
 class TestTiles:

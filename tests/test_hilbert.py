@@ -723,6 +723,34 @@ class TestImpulseOracle:
             rel = float(np.sqrt(np.sum(err * err) / np.sum(h * h)))
             assert rel <= budget, (j, rel / np.finfo(np.float64).eps)
 
+    # the second form of an impulse at j is -roll(h, j) -/+ i*delta_j.  The
+    # default route is assembled from hilbert_first's bits, so only the two
+    # routes with transforms of their own need a case: the half-band one at
+    # even N, and the log-image one.  The worst reading was 0.60 (log-image
+    # route, minus branch, N = 63) and 0.47 on the half-band route (N = 5794,
+    # a Bluestein half plan), both within the same C = 1 budget
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="np.longdouble is float64 on this platform, so the kernel "
+                               "would be no more exact than the transform under test")
+    @pytest.mark.parametrize("n", [64, 1 << 15, 3**7, 1 << 18, 100_000, 5794,
+                                   63, 1009, 5793, 100_003])  # the last four Bluestein
+    def test_second_form_of_an_impulse_is_the_shifted_kernel(self, n):
+        h = periodic_hilbert_kernel(n)
+        budget = self.C * np.finfo(np.float64).eps * math.log2(n)
+        routes = {"log image": hilbert_second_via_log_image}
+        if n % 2 == 0:
+            routes["half-band"] = lambda f, b: hilbert_second(f, b, halfband=True)
+        for j in (0, 1, n // 3, n - 1):
+            x = np.zeros(n)
+            x[j] = 1.0
+            for b in Branch:
+                want = -np.roll(h, j).astype(np.clongdouble)
+                want[j] -= 1j * b.sign
+                for name, route in routes.items():
+                    err = route(Signal(x), b).samples - want
+                    rel = float(np.sqrt(np.sum(np.abs(err) ** 2) / np.sum(np.abs(want) ** 2)))
+                    assert rel <= budget, (name, b, j, rel / np.finfo(np.float64).eps)
+
 
 class TestPackedPath:
     """Even lengths run half-length transforms; the length-N pipeline is the oracle.
