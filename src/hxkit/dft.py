@@ -39,10 +39,12 @@ nothing but its result, and no second row outlives it.  Every other size
 takes the chirp-based (Bluestein) reduction to a cyclic convolution,
 padded to the smallest 5-smooth length >= 2n-1 and run on the same stages
 in two work rows of the pad's length, since no result of that length
-exists to borrow, so it too allocates only its result.  Its final chirp
-product lands DFT(x) in natural order as well, in the result or, for an
-inverse, in the head of a pad row, so the one reversed 1/N read serves
-every plan (Bluestein 1970).  Both act on one
+exists to borrow, so it too allocates only its result.  Its chirp
+spectrum carries the convolution's 1/m, so its second padded transform
+holds the result at the result's own scale and no pass divides by m, and
+its final chirp product lands DFT(x) in natural order as well, in the
+result or, for an inverse, in the head of a pad row, so the one reversed
+1/N read serves every plan (Bluestein 1970).  Both act on one
 1-d sequence; there is no batch axis.  Every table is built from roots of
 unity formed in place (:func:`_unit_roots`), and a Bluestein plan forms
 its padded chirp in its pad's rows, so a plan build allocates little
@@ -100,7 +102,8 @@ class DftPlan:
     # column of ones, each later stage's (m, r, r) twiddled DFT matrices
     # (:func:`_stage_tables`)
     stages_fwd: tuple[np.ndarray, ...] = field(default=(), repr=False)
-    # Bluestein tables
+    # Bluestein tables: the chirp exp(-i*pi*k^2/n), and the spectrum of the
+    # padded conj(chirp) divided by the pad length m
     pad_plan: "DftPlan | None" = field(default=None, repr=False)
     chirp: np.ndarray | None = field(default=None, repr=False)
     chirp_spectrum: np.ndarray | None = field(default=None, repr=False)
@@ -262,8 +265,11 @@ def plan(n: int) -> DftPlan:
     np.conjugate(chirp, out=b[:n])
     b[n:m - n + 1] = 0.0
     np.conjugate(chirp[:0:-1], out=b[m - n + 1:])
+    # the spectrum carries the convolution's 1/m, so no transform divides by m
+    spectrum = dft_forward(pad_plan, b)
+    spectrum /= m
     return DftPlan(size=n, strategy=BLUESTEIN, pad_plan=pad_plan, chirp=chirp,
-                   chirp_spectrum=dft_forward(pad_plan, b))
+                   chirp_spectrum=spectrum)
 
 
 # (kind, n) -> table, least recently used first, shared by every thread
@@ -443,11 +449,12 @@ def _bluestein(x: np.ndarray, p: DftPlan, out: np.ndarray | None = None) -> np.n
     the head of a pad work row; returns where it landed.
 
     Two forward padded transforms run in the pad's two rows, each on an
-    input built in row 1 (:func:`_in_rows`).  The final chirp product
-    reads the second one, F, at bin k as F[-k mod m] / m * chirp[k]; bins
-    1..n-1 read F[m-n+1:], which lies past F[:n] since m >= 2n-1, so they
-    may land in F's own head.  So the transform allocates nothing but its
-    result.
+    input built in row 1 (:func:`_in_rows`).  The chirp spectrum carries
+    the 1/m of the cyclic convolution (:func:`plan`), so the second
+    transform, F, holds the result at its own scale, and the final chirp
+    product reads bin k as F[-k mod m] * chirp[k]; bins 1..n-1 read
+    F[m-n+1:], which lies past F[:n] since m >= 2n-1, so they may land in
+    F's own head.  So the transform allocates nothing but its result.
     """
     n = p.size
     m = p.pad_plan.size
@@ -459,9 +466,8 @@ def _bluestein(x: np.ndarray, p: DftPlan, out: np.ndarray | None = None) -> np.n
     F = _in_rows(p.pad_plan, A)
     if out is None:
         out = F[:n]
-    out[0] = F[0] / m  # chirp[0] = 1
-    np.divide(p.chirp[1:], m, out=out[1:])
-    np.multiply(F[:m - n:-1], out[1:], out=out[1:])
+    out[0] = F[0]  # chirp[0] = 1
+    np.multiply(F[:m - n:-1], p.chirp[1:], out=out[1:])
     return out
 
 

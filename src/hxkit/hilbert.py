@@ -310,16 +310,16 @@ def _mirrored_chunks(nh: int):
     return [((a, b), (max(nh - b + 1, mid), nh - a + 1)) for a, b in _chunks(1, mid)]
 
 
-def _first_form(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _first_form(x: np.ndarray) -> np.ndarray:
     """H x for real x: the packed path for even N, the complex one for odd.
 
     The even path repacks the product into the spare row; its length-N/2
-    inverse is y[2m] + i*y[2m+1], real by construction.  The odd path
-    copies out the real part of its output, into ``out`` if given (a
-    float64 array of N samples, which may be ``x`` itself: it is written
-    once ``x`` has been read), else into a new array; the even path
-    ignores ``out``.  Neither path writes into ``x`` unless it is ``out``.
-    Each path takes its tables before it allocates its spectrum.
+    inverse is y[2m] + i*y[2m+1], real by construction.  The odd path's
+    inverse lands in its spectrum, which leaves the spare row free: the
+    real part goes there, the spectrum is dropped, and the result is a
+    copy of the row, so no new array is alive beside the spectrum.
+    Neither path writes into ``x``.  Each path takes its tables before it
+    allocates its spectrum.
     """
     n = x.shape[0]
     if n % 2 == 0:
@@ -330,10 +330,10 @@ def _first_form(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     h = _full_length(x, _odd_first_weights)
     if (residue := _peak(h.imag)) > 1e-12 * (peak := _peak(x)):
         raise InvariantBreach(f"imaginary residue {residue:.3e} exceeds 1e-12 * peak {peak:.3e}")
-    if out is None:
-        return h.real.copy()
-    out[...] = h.real
-    return out
+    row = _spare_row(_table("plan", n, plan)).view(np.float64)[:n]
+    row[...] = h.real
+    del h
+    return row.copy()
 
 
 def _halfband_plus(x: np.ndarray) -> np.ndarray:
@@ -348,7 +348,7 @@ def _halfband_plus(x: np.ndarray) -> np.ndarray:
     return dft_inverse_halfband(p, bins)
 
 
-def _at_unit_scale(x: np.ndarray, transform, reuse_copy: bool = False) -> np.ndarray:
+def _at_unit_scale(x: np.ndarray, transform) -> np.ndarray:
     """transform(x) on x itself or at a unit peak; the result is finite.
 
     Every public transform enters here; ``transform`` only reads ``x``.
@@ -356,23 +356,19 @@ def _at_unit_scale(x: np.ndarray, transform, reuse_copy: bool = False) -> np.nda
     scan of an output that cannot overflow.  Outside, x is scaled to a peak
     in [1/2, 1) by an exact power of 2 and the result scaled back, so such
     input keeps the bits of the unit-scale run; a result past the float64
-    range raises :class:`~hxkit.errors.ResultOverflowError`.  With
-    ``reuse_copy`` (:func:`_first_form`) the scaled copy is also passed as
-    ``out``, the buffer of a real result, so that no second array of N
-    samples is alive beside the spectrum.
+    range raises :class:`~hxkit.errors.ResultOverflowError`.
     """
     e = _peak_exponent(x)
     # The window: a peak in [2^(e-1), 2^e) with |e| <= 512.  An output is at
-    # most N peaks, a value inside a route at most 128*N^4 (a length-n
-    # Bluestein pass holds m^3, m < 4n, and an inverse's unscaled stages take
-    # 2N peaks), under 2^183 for N < 2^44: below 2^695, so nothing overflows.
-    # For e >= -512 each value of at least 2^-509 peaks is normal and rounds
-    # as at unit scale, 2^e times smaller; only terms far under the output's
-    # rounding can be subnormal.
+    # most N peaks, a value inside a route at most 8*N^3 (a length-n
+    # Bluestein pass holds at most m*n < m^2 of its input's peak, m < 4n,
+    # and an inverse's input is at most 2N peaks), under 2^135 for N < 2^44:
+    # below 2^647, so nothing overflows.  For e >= -512 each value of at
+    # least 2^-509 peaks is normal and rounds as at unit scale, 2^e times
+    # smaller; only terms far under the output's rounding can be subnormal.
     if abs(e) <= 512:
         return transform(x)
-    v = np.ldexp(x, -e)
-    return _scaled_back(transform(v, out=v) if reuse_copy else transform(v), e)
+    return _scaled_back(transform(np.ldexp(x, -e)), e)
 
 
 def _unit_peak(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -433,7 +429,7 @@ def hilbert_first(f: Signal) -> Signal:
     inverse is checked against 1e-12*max|f| and truncated.
     """
     x = _require_real(f, "hilbert_first")
-    return _result(f, _at_unit_scale(x, _first_form, reuse_copy=True))
+    return _result(f, _at_unit_scale(x, _first_form))
 
 
 def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
@@ -458,7 +454,7 @@ def hilbert_second(f: Signal, branch, halfband: bool = False) -> Signal:
             raise InvalidSizeError("halfband inverse needs an even signal length")
         z = _at_unit_scale(x, _halfband_plus)
         return _result(f, z if b is Branch.PLUS else np.conjugate(z, out=z))
-    h = _at_unit_scale(x, _first_form, reuse_copy=True)
+    h = _at_unit_scale(x, _first_form)
     z = np.empty(len(h), dtype=np.complex128)
     zr, zi = z.real, z.imag
     for a, e in _chunks(0, len(h)):  # both parts of a span while it is in cache
@@ -501,7 +497,7 @@ def analytic_signal(f: Signal) -> Signal:
 
     Assembled from one first-form call, as :func:`hilbert_second` is."""
     x = _require_real(f, "analytic_signal")
-    h = _at_unit_scale(x, _first_form, reuse_copy=True)
+    h = _at_unit_scale(x, _first_form)
     z = np.empty(len(h), dtype=np.complex128)
     zr, zi = z.real, z.imag
     for a, e in _chunks(0, len(h)):  # both parts of a span while it is in cache

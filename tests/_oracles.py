@@ -12,7 +12,9 @@ the reference the engine's table builder must match in every bit.
 as whole-array passes, the reference its chunked passes must match in
 every bit.  :func:`periodic_hilbert_kernel` and :func:`geometric_dft` are
 closed forms in ``np.longdouble`` that cost O(N) at any size: the
-transform of an impulse and of a geometric sequence.
+transform of an impulse and of a geometric sequence, and
+:func:`boundary_values` gives a periodic Hilbert pair at any size: the
+real and imaginary parts of an analytic function on the unit circle.
 """
 
 import math
@@ -167,3 +169,21 @@ def geometric_dft(a: complex, n: int, direction: str = "forward"):
     w = np.cos(t) + sign * 1j * np.sin(t)
     X = (1 - powers[n]) / (1 - a * w)
     return powers[:n].astype(np.complex128), X if direction == "forward" else X / n
+
+
+def boundary_values(a: complex, n: int):
+    """f = exp(a*z) at z = exp(2*pi*i*j/n), j < n, in ``np.clongdouble``;
+    returns u = Re f rounded to double, f, and vbar, the sample mean of
+    v = Im f.
+
+    f is analytic in the unit disk, so u and v are a periodic Hilbert pair
+    (conjugate functions): sampled, H u = -(v - vbar) and the analytic
+    signal of u is f - i*vbar, up to aliasing, the Taylor tail
+    sum_{k >= n/2} |a|^k/k!, which folds the terms of degree n/2 and above
+    onto the negative bins.  No DFT is inside.  Each z is formed from the
+    residue of j mod n nearest 0, so its angle lies within [-pi, pi]."""
+    k = np.arange(n)
+    r = np.where(2 * k > n, k - n, k).astype(np.longdouble)
+    t = 8 * np.arctan(np.longdouble(1)) * r / n
+    f = np.exp(np.clongdouble(complex(a)) * (np.cos(t) + 1j * np.sin(t)))
+    return f.real.astype(np.float64), f, f.imag.mean()

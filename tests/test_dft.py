@@ -198,6 +198,29 @@ def test_large_prime_factor_size_runs_bluestein():
     assert rel_err(dft_forward(p, x), np.fft.fft(x)) <= 1e-13
 
 
+def test_bluestein_transforms_near_the_top_of_the_range_are_finite():
+    # n = 100 003 pads to m = 202 500.  With the 1/m of the convolution
+    # applied in the final chirp product, the second padded transform held
+    # m times the result: for this signal at peak 0.75 * 2^1000 the forward
+    # returned 4949 non-finite bins (all 100 003 at 2^1003, where the true
+    # peak is 1.5e304), and the inverse of this spectrum of peak 1e301
+    # returned 28 779 non-finite values.  The chirp spectrum now carries the 1/m,
+    # and a power-of-two scale of the input scales the output exactly
+    n = 100_003
+    p = plan(n)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    x *= 0.75 / np.abs(x).max()
+    unit = dft_forward(p, x)
+    for k in (997, 1000, 1003):
+        y = dft_forward(p, np.ldexp(x, k))
+        assert np.isfinite(y).all(), k
+        assert y.tobytes() == np.ldexp(unit.view(np.float64), k).tobytes(), k
+    X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    X *= 1e301 / np.abs(X).max()
+    assert np.isfinite(dft_inverse(p, X)).all()
+
+
 @given(
     a=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
     b=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
@@ -857,7 +880,7 @@ class TestGeometricOracle:
 
     # relative L2 error <= C * eps * log2 N; the worst reading was 0.35
     # (3.53 eps, dft_inverse at N = 1009), so C = 1 leaves a margin of 2.8x.
-    # Dividing every Bluestein chirp product by m*(1 - 32 eps) puts each
+    # Scaling a Bluestein plan's chirp spectrum by 1 - 32 eps puts each
     # transform at those sizes about 32 eps off, past this budget
     C = 1.0
 
