@@ -13,7 +13,11 @@ machine-read artifacts are the signal/report files themselves.  The RNG
 seed is --seed, 42 by default.
 
 The bench, contour and verify modules load inside the commands that use
-them, so ``hx transform`` and ``hx analytic`` start without them.
+them, so ``hx transform`` and ``hx analytic`` start without them.  The
+process entries (``python -m hxkit`` and the ``hx`` script, both
+:func:`hxkit.__main__.run`) freeze the collector once :func:`main` has
+returned, so the interpreter's collections at exit sweep nothing;
+:func:`main` itself, called in-process, leaves the collector alone.
 """
 
 from __future__ import annotations

@@ -5,9 +5,12 @@ csv inputs are ASCII, one value per line (assumed grid dx=1, x0=0) or
 non-ASCII byte is a DataError naming its offset.  A field is what Python's
 ``float`` parses (``1_000`` too), ``#`` starts no comment, and blank or
 whitespace-only lines are skipped.  Outputs are one real column, or `re,im`
-columns for complex results.  Floats are written with ``repr``, the
-shortest digit string that parses back to the same double, so a
-write/read/write cycle is byte-identical.
+columns for complex results.  Floats are written as ``repr`` writes them,
+the shortest digit string that parses back to the same double, so a
+write/read/write cycle is byte-identical.  The text comes from a
+vectorized shortest-round-trip kernel (:mod:`hxkit._csvrepr`), loaded by
+the first csv write, in chunks of whole rows that go to the file as they
+are made.
 
 f64le files are headerless raw little-endian IEEE-754 doubles.  Complex
 values are stored as interleaved re,im pairs, matching the csv column
@@ -145,7 +148,8 @@ def write_values(path, fmt: str, values) -> None:
     if fmt == "f64le":
         Path(path).write_bytes(flat.astype("<f8", copy=False).tobytes())
         return
-    lines = list(map(repr, flat.tolist()))
-    if is_complex:
-        lines = map(",".join, zip(lines[0::2], lines[1::2]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    from . import _csvrepr  # loaded by the first csv write: f64le runs never compile it
+
+    with Path(path).open("wb") as out:
+        for chunk in _csvrepr.csv_chunks(flat, 2 if is_complex else 1):
+            out.write(chunk)

@@ -379,8 +379,53 @@ class TestModuleEntry:
         assert self._loaded_after("from hxkit import Signal, hilbert_first") == [
             "hxkit", "hxkit.dft", "hxkit.errors", "hxkit.hilbert"]
 
+    def test_an_f64le_transform_never_loads_the_csv_writer(self, tmp_path):
+        x = np.cos(np.arange(256) / 7.0)
+        src, out = tmp_path / "x.f64le", tmp_path / "y.f64le"
+        src.write_bytes(x.astype("<f8").tobytes())
+        loaded = self._loaded_after(
+            f"import hxkit.cli; assert hxkit.cli.main(['transform', '--in', {str(src)!r}, "
+            f"'--out', {str(out)!r}, '--form', 'first']) == 0")
+        assert "hxkit.sigio" in loaded and "hxkit._csvrepr" not in loaded
+        assert out.stat().st_size == x.nbytes
+
     def test_suite_choices_are_the_verify_suites(self):
         assert cli._SUITES == verify.SUITES
+
+
+class TestCollectorAtExit:
+    """Both process entries freeze the collector once the command returns;
+    ``main`` called in-process leaves it alone."""
+
+    def test_main_in_process_leaves_the_collector_as_it_was(self, tmp_path, capsys):
+        import gc
+
+        write_cos(tmp_path / "x.csv")
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert main(["transform", "--in", str(tmp_path / "x.csv"),
+                     "--out", str(tmp_path / "y.csv"), "--form", "first"]) == 0
+        assert main(["transform", "--form", "first"]) == 2
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_python_dash_m_and_the_script_run_the_same_entry(self):
+        import tomllib
+
+        root = Path(cli.__file__).resolve().parents[2]
+        scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+        assert scripts == {"hx": "hxkit.__main__:run"}
+
+    def test_run_freezes_after_the_command_and_returns_its_code(self, tmp_path):
+        write_cos(tmp_path / "x.csv")
+        script = ("import gc, sys; import hxkit.__main__ as entry; "
+                  f"sys.argv = ['hx', 'transform', '--in', {str(tmp_path / 'x.csv')!r}, "
+                  f"'--out', {str(tmp_path / 'y.csv')!r}, '--form', 'first']; "
+                  "before = gc.get_freeze_count(); code = entry.run(); "
+                  "print(code, before, gc.get_freeze_count() > 1000)")
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-3:] == ["0", "0", "True"]
+        assert (tmp_path / "y.csv").read_text().count("\n") == 256
 
 
 class TestPackageExports:

@@ -336,15 +336,17 @@ def test_property_start_corrected_identity(coeffs, zr, zi):
 
 
 def _guard_distance(curve):
+    """The distance guard's stated threshold, 1e-3 of the curve's size
+    (README "Quick start (API)"), not read off the module, so that a moved
+    threshold shows."""
     chain = curve.chain()
-    return contour._DISTANCE_RTOL * float(np.abs(chain - chain.mean()).max())
+    return 1e-3 * float(np.abs(chain - chain.mean()).max())
 
 
-def _near_points(cname, where):
-    """Points from just outside the distance guard to one panel length
-    inside the curve, at panel centres or at panel joints, on several
-    panels (each side of the square)."""
-    curve = CURVES[cname]
+def _spots(cname, where):
+    """(panel length, points at depth d inside the curve as functions of d)
+    at panel centres or at panel joints, on several panels (each side of
+    the square)."""
     off = 0.5 if where == "centre" else 0.0
     if cname == "circle":  # 256 panels of 2*pi*2/256
         panel = 2 * math.pi * 2.0 / 256
@@ -356,8 +358,34 @@ def _near_points(cname, where):
                  lambda d: complex(-2 + (40 + off) * panel, 2 - d),
                  lambda d: complex(-2 + d, (-10 + off) * panel),
                  lambda d: complex(2 - d, (12 + off) * panel)]
+    return panel, spots
+
+
+def _near_points(cname, where):
+    """Points from just outside the distance guard to one panel length
+    inside the curve (:func:`_spots`)."""
+    curve = CURVES[cname]
+    panel, spots = _spots(cname, where)
     distances = np.geomspace(1.01 * _guard_distance(curve), panel, 9)
     return curve, [spot(d) for d in distances for spot in spots]
+
+
+@pytest.mark.parametrize("where", ["centre", "joint"])
+@pytest.mark.parametrize("cname", CURVES)
+def test_the_distance_guard_sits_at_its_threshold(cname, where):
+    # 1% either side of the threshold, where a chord is within 1.3e-6 of
+    # the curve: both integrals refuse the nearer point and take the other
+    curve = CURVES[cname]
+    guard = _guard_distance(curve)
+    for spot in _spots(cname, where)[1]:
+        near, clear = spot(0.99 * guard), spot(1.01 * guard)
+        with pytest.raises(GeometryError, match="too close"):
+            cauchy_integral(POLY, curve, near)
+        assert np.isfinite(cauchy_integral(POLY, curve, clear))
+        for kernel in ("z-zp", "zp-z"):
+            with pytest.raises(GeometryError, match="too close"):
+                log_kernel_line_integral(POLY, curve, near, kernel=kernel)
+            assert np.isfinite(log_kernel_line_integral(POLY, curve, clear, kernel=kernel).value)
 
 
 @pytest.mark.parametrize("fname", FUNCTIONS)

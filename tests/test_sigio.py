@@ -295,6 +295,41 @@ class TestWrite:
         with pytest.raises(DataError):
             write_values(tmp_path / "o.csv", "csv", np.array([]))
 
+    @pytest.mark.slow
+    def test_csv_is_repr_on_a_million_bit_patterns(self, tmp_path, monkeypatch):
+        # 10^6 random finite bit patterns of both signs, every power of two
+        # and every power of ten in range, and the edges of repr's layout,
+        # at the default chunk and at one that splits rows and exponent runs
+        from hxkit import _csvrepr
+
+        rng = np.random.default_rng(2020)
+        bits = rng.integers(0, 1 << 64, 1_000_000, dtype=np.uint64, endpoint=False)
+        bits = bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) != 0x7FF]
+        edges = [5e-324, 1e-4, np.nextafter(1e-4, 0.0), 1e16, 9999999999999998.0,
+                 2.0**53 - 1, 2.0**53 + 1, 2.0**53 + 2, -0.0, 0.0, 1.7976931348623157e308]
+        x = np.concatenate([bits.view(np.float64), np.ldexp(1.0, np.arange(-1074, 1024)),
+                            [float(f"1e{e}") for e in range(-323, 309)], edges, _EDGE_DOUBLES])
+        assert x.size >= 10**6 and np.all(np.isfinite(x))
+        words = list(map(repr, x.tolist()))
+        rows = {1: "\n".join(words) + "\n",
+                2: "".join(f"{a},{b}\n" for a, b in zip(words[0::2], words[1::2]))}
+        z = x[: x.size // 2 * 2].view(np.complex128)
+        for chunk in (_csvrepr.CHUNK, 999):
+            monkeypatch.setattr(_csvrepr, "CHUNK", chunk)
+            write_values(tmp_path / "r.csv", "csv", x)
+            write_values(tmp_path / "z.csv", "csv", z)
+            assert (tmp_path / "r.csv").read_bytes() == rows[1].encode()
+            assert (tmp_path / "z.csv").read_bytes() == rows[2].encode()
+
+    def test_csv_write_peak_memory(self, tmp_path):
+        # chunks of the text go to the file as they are made; one str per
+        # value, their join and its encoding peaked at 5.9x the file
+        v = np.random.default_rng(3).standard_normal(1 << 16)
+        p = tmp_path / "o.csv"
+        _, peak = traced_peak(lambda: write_values(p, "csv", v))
+        assert peak <= 1.5 * p.stat().st_size
+        assert p.read_text() == _repr_rows(v)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_f64le_write_peak_memory(self, dtype, tmp_path):
         # contiguous float64 and complex128 values are written from their own

@@ -15,9 +15,12 @@ every public route's output (:func:`cases`):
 - ``dft_forward``, ``dft_inverse`` and (even N) ``dft_inverse_halfband``;
 
 of random, constant, alternating, zero and impulse signals at peaks 1 and
-2^+-997, at sizes from 2 to 2^18 (:data:`SIZES`).  It prints the totals
-and the differing outputs grouped by size and route, and exits 1 if any
-output differs, else 0.
+2^+-997, at sizes from 2 to 2^18 (:data:`SIZES`).  On the first thread
+count it also hashes the csv file ``sigio.write_values`` writes for the
+``hilbert_first`` (real) and ``analytic_signal`` (complex) outputs
+(:data:`CSV_ROUTES`); the peaks 2^+-997 reach the exponent form.  It
+prints the totals and the differing outputs grouped by size and route,
+and exits 1 if any output or csv file differs, else 0.
 
 Hashes are compared tree against tree on one machine, never against a
 committed file: another BLAS compute kernel may round the last ulp
@@ -48,6 +51,7 @@ SIZES = (2, 3, 4, 7, 8, 14, 15, 63, 64, 127, 243, 254, 1000, 1009, 2018, 2187,
 SIGNALS = ("random", "constant", "alternating", "zero", "impulse")
 PEAKS = (0, 997, -997)  # the signal at peak 1 or below it, times 2^k
 THREADS = (1, 2)
+CSV_ROUTES = ("hilbert_first", "analytic_signal")  # a real and a complex output
 
 
 def route_names(n: int) -> list[str]:
@@ -58,13 +62,14 @@ def route_names(n: int) -> list[str]:
     return names
 
 
-def cases(sizes=SIZES):
-    """(n, route, signal, k) for every output the sweep hashes; the zero
-    signal runs at k = 0 only, since scaling changes none of its bits."""
+def cases(sizes=SIZES, csv=False):
+    """(n, route, signal, k) for every output the sweep hashes, and with
+    ``csv`` the csv files, as routes "csv <route>"; the zero signal runs at
+    k = 0 only, since scaling changes none of its bits."""
     for n in sizes:
         for kind in SIGNALS:
             for k in PEAKS if kind != "zero" else (0,):
-                for route in route_names(n):
+                for route in route_names(n) + [f"csv {r}" for r in CSV_ROUTES if csv]:
                     yield n, route, kind, k
 
 
@@ -99,34 +104,40 @@ def _outputs(n: int, x, plan):
     return out
 
 
-def collect(sizes=SIZES) -> dict[str, str]:
-    """"n route signal k" -> sha256 of that output's bytes, one per case
-    (:func:`cases`), from the hxkit this process imports.  A route that
-    raises gives the exception's name in place of a hash; floating-point
-    warnings are silenced, since a non-finite output is hashed like any
-    other."""
+def collect(sizes=SIZES, csv=False) -> dict[str, str]:
+    """"n route signal k" -> sha256 of that output's bytes, or of its csv
+    file, one per case (:func:`cases`), from the hxkit this process
+    imports.  A route that raises gives the exception's name in place of a
+    hash; floating-point warnings are silenced, since a non-finite output
+    is hashed like any other."""
     from hxkit.dft import plan
+    from hxkit.sigio import write_values
 
     plan = functools.lru_cache(maxsize=2)(plan)  # n and n/2
     hashes, last = {}, None
-    with np.errstate(all="ignore"):
-        for n, route, kind, k in cases(sizes):
+    with np.errstate(all="ignore"), tempfile.TemporaryDirectory(prefix="byte_sweep_") as tmp:
+        csv_file = Path(tmp) / "out.csv"
+        for n, route, kind, k in cases(sizes, csv):
             if last != (n, kind, k):
                 last = n, kind, k
                 outputs = _outputs(n, np.ldexp(_signal(kind, n), k), plan)
             key = f"{n} {route} {kind} {k}"
             try:
-                got = outputs[route]()
-                hashes[key] = hashlib.sha256(got.tobytes()).hexdigest()
+                if route.startswith("csv "):
+                    write_values(csv_file, "csv", outputs[route[4:]]())
+                    got = csv_file.read_bytes()
+                else:
+                    got = outputs[route]().tobytes()
+                hashes[key] = hashlib.sha256(got).hexdigest()
             except (ValueError, RuntimeError) as exc:  # hxkit's typed errors: behaviour too
                 hashes[key] = f"raises {type(exc).__name__}"
     return hashes
 
 
-def _child(src: Path, threads: int) -> dict[str, str]:
+def _child(src: Path, threads: int, csv: bool) -> dict[str, str]:
     """:func:`collect` in a child that imports hxkit from ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads))
-    run = subprocess.run([sys.executable, __file__, "--collect"], env=env,
+    run = subprocess.run([sys.executable, __file__, "--collect", *["--csv"] * csv], env=env,
                          capture_output=True, text=True, check=True)
     result = json.loads(run.stdout)
     if not Path(result["module"]).resolve().is_relative_to(src.resolve()):
@@ -135,10 +146,10 @@ def _child(src: Path, threads: int) -> dict[str, str]:
 
 
 def main(argv: list[str]) -> int:
-    if argv == ["--collect"]:
+    if argv[:1] == ["--collect"]:
         import hxkit
 
-        print(json.dumps({"module": hxkit.__file__, "hashes": collect()}))
+        print(json.dumps({"module": hxkit.__file__, "hashes": collect(csv=argv[1:] == ["--csv"])}))
         return 0
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
@@ -151,11 +162,16 @@ def main(argv: list[str]) -> int:
         groups: dict[tuple[int, str], dict[int, int]] = defaultdict(dict)
         differ = 0
         for threads in THREADS:
-            old = _child(Path(tmp) / "src", threads)
-            new = _child(ROOT / "src", threads)
+            csv = threads == THREADS[0]
+            old = _child(Path(tmp) / "src", threads, csv)
+            new = _child(ROOT / "src", threads, csv)
             keys = [k for k in old if old[k] != new.get(k)]
             differ += len(keys)
-            print(f"{threads} BLAS thread(s): {len(old)} outputs, {len(keys)} differ")
+            files = [k for k in old if " csv " in k]
+            print(f"{threads} BLAS thread(s): {len(old) - len(files)} outputs, "
+                  f"{len([k for k in keys if k not in files])} differ")
+            if csv:
+                print(f"  csv files: {len(files)}, {len([k for k in keys if k in files])} differ")
             for key in keys:
                 n, route = key.split(" ", 1)[0], key.split(" ", 1)[1].rsplit(" ", 2)[0]
                 group = groups[int(n), route]
